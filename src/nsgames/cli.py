@@ -23,7 +23,7 @@ from . import dilation as dilation_mod
 from . import games as games_mod
 from .channels import Povm, dump_povm, load_channel, load_povm
 from .correlations import is_local, is_no_signalling, load_correlation
-from .errors import ParseError, PreconditionError, TooLargeError
+from .errors import NumericError, ParseError, PreconditionError, TooLargeError
 from .linalg import max_abs
 
 EXIT_OK = 0
@@ -161,8 +161,9 @@ def _sequence_parallel(cylinder, kind, n_max, threads, opts):
         if raw is None:
             truncated = True
             break
-        if kind != "qs" and previous is not None and raw > previous + 1e-9:
-            raise RuntimeError("iterate values must be non-increasing")
+        if kind != "qs" and previous is not None and raw > previous + games_mod.VALUE_TOL:
+            raise NumericError("iterate values must be non-increasing",
+                               residual=raw - previous)
         previous = raw
         normalized = raw ** (1.0 / n) if raw > 0.0 else 0.0
         running = normalized if running is None else max(running, normalized)

@@ -4,12 +4,16 @@ Three engines live here:
 
 * ``ns_value`` -- exact supremum over the no-signalling polytope, as a linear
   program over the correlation entries (nonnegativity, per-pair normalization,
-  and the marginal equalities), solved by the in-package simplex.
+  and the marginal equalities), solved by the in-package simplex.  The dense
+  constraint matrix is capped at 1e8 entries.
 * ``local_value`` -- exact maximum over deterministic strategy pairs.  Alice's
-  maps are enumerated (cap 1e8) with a meet-in-the-middle split of her input
-  set; Bob's best reply is computed in closed form per question.  The
+  maps are enumerated (cap 1e8) by the kernel in ``strategies``: a
+  meet-in-the-middle split of her input set, scored in exact integers when
+  the payoffs allow it (uniform questions) and in float64 otherwise.  Bob's
+  best reply, computed in closed form per question, gives the value.  The
   enumeration order is row-major over (f(0), ..., f(nX-1)) with f(0) most
-  significant, and ties break to the lowest strategy index.
+  significant, and ties break to the lowest strategy index (exactly on the
+  integer path).
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state, returning a certified quantum-spatial
   lower bound (the certificate is an explicit finite-dimensional strategy).
@@ -33,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .games import FiniteGame
 
 LOCAL_ENUM_CAP = 10 ** 8
+NS_LP_CAP = 10 ** 8  # entries of the dense no-signalling constraint matrix
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,11 @@ def ns_value_lp(game: "FiniteGame") -> LinearProgram:
     """
     nX, nY, nA, nB = game.shape
     n_vars = nX * nY * nA * nB
+    n_rows = nX * nY + nX * nA * (nY - 1) + nY * nB * (nX - 1)
+    if n_rows * n_vars > NS_LP_CAP:
+        raise TooLargeError(
+            f"no-signalling LP would hold {n_rows} x {n_vars} dense entries, over cap "
+            f"{NS_LP_CAP}")
     index = np.arange(n_vars).reshape(nX, nY, nA, nB)
 
     rows: list[np.ndarray] = []

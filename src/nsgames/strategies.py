@@ -7,43 +7,71 @@ and for a fixed Alice map f Bob's best reply decomposes per question,
     score(f) = sum_y max_b sum_x T[x, f(x), y, b].
 
 Alice's maps are enumerated with a meet-in-the-middle split of her input set:
-partial sums over each half are tabulated once, so scoring all nA^nX maps
-costs one broadcast add per half-pair instead of a fresh O(nX) gather.  Maps
-are indexed row-major, f(0) most significant; ties break to the lowest index.
+partial sums over each half are tabulated once, as first[i, b, y] and
+second[b, y, j], and a block of first-half rows is scored plane by plane (one
+add and one running maximum per b into buffers allocated once per scan, then
+a sum over the middle y axis).  When T * L is integral to the last bit for
+L = (question pairs) * 2^24, as for every uniform-question game, the scores
+are exact integers in the narrowest of int8/int16/int32 that holds them;
+otherwise they are float64.  Maps are indexed row-major, f(0) most
+significant; ties break to the lowest index, exactly on the integer path.
+Reported values always come from ``best_reply`` on T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_CHUNK_ELEMENTS = 6_000_000  # scratch budget for the enumeration inner block
+_BLOCK_BYTES = 1 << 18  # size of each scratch buffer in the scan
 
 
-def partial_scores(tensor: np.ndarray, inputs: range) -> np.ndarray:
-    """Partial sums S[v] = sum_{x in inputs} T[x, digit_x(v)] over all digit
-    combinations, most significant digit first; shape (nA^len, nY, nB)."""
-    _, _, n_y, n_b = tensor.shape
-    scores = np.zeros((1, n_y, n_b))
+def kernel_weights(tensor: np.ndarray) -> np.ndarray:
+    """The tensor as the kernel scores it, laid out W[x, a, b, y]: integer
+    when T * L is integral (see the module docstring), else float64."""
+    n_x, _, n_y, _ = tensor.shape
+    den = n_x * n_y << 24
+    scaled = np.rint(tensor * den)
+    if (scaled / den == tensor).all() and np.abs(scaled).max() < 2 ** 53:
+        ints = scaled.astype(np.int64)
+        ints //= max(int(np.gcd.reduce(ints, axis=None)), 1)
+        bound = int(np.abs(ints).max(axis=(1, 3)).sum())  # bounds every partial sum
+        for dtype in (np.int8, np.int16, np.int32):
+            if bound <= np.iinfo(dtype).max:
+                return np.ascontiguousarray(ints.transpose(0, 1, 3, 2), dtype=dtype)
+    return np.ascontiguousarray(tensor.transpose(0, 1, 3, 2), dtype=np.float64)
+
+
+def partial_scores(weights: np.ndarray, inputs: range) -> np.ndarray:
+    """Partial sums S[v] = sum_{x in inputs} W[x, digit_x(v)] over all digit
+    combinations, most significant digit first; shape (nA^len, nB, nY)."""
+    _, _, n_b, n_y = weights.shape
+    scores = np.zeros((1, n_b, n_y), dtype=weights.dtype)
     for x in inputs:
-        scores = (scores[:, None, :, :] + tensor[x][None, :, :, :]).reshape(-1, n_y, n_b)
+        scores = (scores[:, None] + weights[x][None]).reshape(-1, n_b, n_y)
     return scores
 
 
 def scan_scores(tensor: np.ndarray):
     """Yield (offset, scores) blocks covering every Alice map in index order.
 
-    ``scores[i]`` is the best-reply value of map ``offset + i``.
+    ``scores[i]`` ranks map ``offset + i`` in the units of
+    ``kernel_weights(tensor)``; the block is overwritten by the next one.
     """
-    n_x, _, n_y, n_b = tensor.shape
-    half = n_x // 2
-    first = partial_scores(tensor, range(0, half))
-    second = partial_scores(tensor, range(half, n_x))
-    n2 = second.shape[0]
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n2 * n_y * n_b))
+    weights = kernel_weights(tensor)
+    n_x, _, n_b, n_y = weights.shape
+    first = partial_scores(weights, range(n_x // 2))
+    second = np.ascontiguousarray(partial_scores(weights, range(n_x // 2, n_x)).transpose(1, 2, 0))
+    n2 = second.shape[2]
+    chunk = min(first.shape[0], max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
+    best, trial = np.empty((2, chunk, n_y, n2), dtype=weights.dtype)
+    totals = np.empty((chunk, n2), dtype=weights.dtype)
     for start in range(0, first.shape[0], chunk):
-        block = first[start:start + chunk]
-        totals = block[:, None, :, :] + second[None, :, :, :]
-        yield start * n2, totals.max(axis=3).sum(axis=2).reshape(-1)
+        rows = first[start:start + chunk, :, :, None]
+        m, t, s = best[:len(rows)], trial[:len(rows)], totals[:len(rows)]
+        np.add(rows[:, 0], second[0], out=m)
+        for b in range(1, n_b):
+            np.maximum(m, np.add(rows[:, b], second[b], out=t), out=m)
+        yield start * n2, np.sum(m, axis=1, dtype=s.dtype, out=s).reshape(-1)
 
 
 def decode_strategy(index: int, n_inputs: int, n_outputs: int) -> tuple[int, ...]:
@@ -78,21 +106,19 @@ def argmax_strategy(tensor: np.ndarray) -> tuple[float, tuple[int, ...], tuple[i
 
 
 def top_strategies(tensor: np.ndarray, count: int):
-    """The ``count`` best pairs as (value, f, g), by value then map index."""
-    top_scores = np.zeros(0)
-    top_indices = np.zeros(0, dtype=np.int64)
-    for offset, scores in scan_scores(tensor):
-        indices = np.arange(offset, offset + scores.size, dtype=np.int64)
-        pool_scores = np.concatenate([top_scores, scores])
-        pool_indices = np.concatenate([top_indices, indices])
-        if pool_scores.size > count:
-            keep = np.argpartition(-pool_scores, count - 1)[:count]
-            pool_scores, pool_indices = pool_scores[keep], pool_indices[keep]
-        top_scores, top_indices = pool_scores, pool_indices
-    order = np.lexsort((top_indices, -top_scores))
+    """The ``count`` best pairs as (value, f, g), by score then map index."""
+    top_scores = top_indices = np.zeros(0, dtype=np.int64)
+    for offset, block in scan_scores(tensor):
+        # A later map enters only by beating the count-th best so far, and the
+        # stable sort keeps tied maps in index order (kept ones come first).
+        new = (np.flatnonzero(block > top_scores[-1]) if top_scores.size == count
+               else np.arange(block.size))
+        scores = np.concatenate([top_scores, block[new]])
+        keep = np.argsort(-scores, kind="stable")[:count]
+        top_scores, top_indices = scores[keep], np.concatenate([top_indices, offset + new])[keep]
     out = []
-    for k in order:
-        f = decode_strategy(int(top_indices[k]), tensor.shape[0], tensor.shape[1])
+    for index in top_indices:
+        f = decode_strategy(int(index), tensor.shape[0], tensor.shape[1])
         g, value = best_reply(tensor, f)
         out.append((value, f, g))
     return out

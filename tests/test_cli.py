@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nsgames import (
     FiniteChannel,
+    NumericError,
     Povm,
+    all_win,
     chsh,
     dump_channel,
     dump_correlation,
@@ -12,7 +16,8 @@ from nsgames import (
     load_povm,
     memory_game,
 )
-from nsgames.cli import main
+from nsgames import games
+from nsgames.cli import build_parser, main
 
 from conftest import basis_pvm, pauli_pvm, pr_box, trine_povm, PAULI_X, PAULI_Z
 
@@ -142,6 +147,24 @@ class TestSequenceCommand:
               "--n-max", "2", "--format", "machine", "--threads", "1"])
         out = capsys.readouterr().out
         assert "truncated 1" in out
+
+    def test_ns_lp_cap_truncates(self, tmp_path, capsys):
+        # n = 3 would need a 3,088 x 46,656 dense NS LP, over the cap
+        path = tmp_path / "wide.game"
+        path.write_text(dump_game(all_win(2, 2, 3, 3)))
+        assert main(["sequence", str(path), "--mode", "iid", "--type", "ns",
+                     "--n-max", "3", "--format", "machine", "--threads", "1"]) == 0
+        assert capsys.readouterr().out == "entry 1 1.0 1.0\nentry 2 1.0 1.0\ntruncated 1\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rising_values_raise_numeric_error(self, chsh_file, monkeypatch, threads):
+        rising = {2: 0.5, 4: 0.75}  # keyed by the stage's nX at n = 1, 2
+        monkeypatch.setattr(games, "value",
+                            lambda stage, kind, **opts: SimpleNamespace(value=rising[stage.nX]))
+        args = build_parser().parse_args(["sequence", chsh_file, "--mode", "iid", "--type",
+                                          "loc", "--n-max", "2", "--threads", threads])
+        with pytest.raises(NumericError, match="non-increasing"):
+            args.func(args)
 
 
 class TestDilateCommand:

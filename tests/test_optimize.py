@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from nsgames import (
     seesaw_state_update,
     top_deterministic_strategies,
 )
-from nsgames import all_win, rand
+from nsgames import all_win, iterate, memory_game, rand
 from nsgames.linalg import kron, max_abs
 
 from conftest import PAULI_X, PAULI_Z, pauli_pvm, pr_box
@@ -75,6 +76,16 @@ class TestNsValue:
             verdict, _ = is_local(corr)
             if verdict:
                 assert ns == pytest.approx(loc, abs=1e-8)
+
+    def test_lp_size_cap(self):
+        from nsgames.optimize import ns_value_lp
+
+        # memory(chsh)^3 would need 7,936 x 65,536 dense rows (4.2 GB)
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="no-signalling LP"):
+            ns_value(iterate(memory_game(chsh()), 3))
+        assert time.perf_counter() - start < 1.0
+        assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (960, 4096)
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
