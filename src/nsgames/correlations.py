@@ -17,6 +17,7 @@ import numpy as np
 
 from .channels import FiniteChannel, channels_commute
 from .errors import ParseError, PreconditionError, TooLargeError, ValidationError
+from .simplex import LinearProgram, simplex_solve
 
 SUM_TOL = 1e-9
 CLIP_TOL = 1e-12
@@ -275,38 +276,46 @@ def _strategy_tables(n_inputs: int, n_outputs: int) -> np.ndarray:
     return digits
 
 
-# Entry budget (matrix cells) below which the membership LP is solved with
-# every vertex column materialized; larger instances go through lazy column
-# generation.  The hard vertex cap stays at 10^7 either way.
+# Budget, in cells of the two-sided dense matrix (2 x entries x vertices),
+# below which the membership LP is solved with every vertex column
+# materialized; larger instances go through lazy column generation.  The hard
+# vertex cap stays at 10^7 either way.
 DIRECT_ENTRY_BUDGET = 40_000_000
 
 
-def _membership_lp(d_mat: np.ndarray, target: np.ndarray):
-    """min t  s.t. |D w - p|_max <= t, w in the simplex; solved with HiGHS.
+def _vertex_matrix(fs: np.ndarray, gs: np.ndarray, nA: int, nB: int):
+    """Sparse D, entries x vertices: column k is the deterministic correlation
+    of the maps (fs[k], gs[k]), one 1 per question pair (x, y)."""
+    from scipy.sparse import csc_array
 
-    Returns (t*, w*, dual_ub, dual_eq); the duals price vertex columns during
-    column generation.
+    count, nX = fs.shape
+    nY = gs.shape[1]
+    pairs = np.arange(nX)[:, None] * nY + np.arange(nY)[None, :]
+    rows = (pairs[None] * nA + fs[:, :, None]) * nB + gs[:, None, :]
+    indptr = np.arange(count + 1) * (nX * nY)
+    return csc_array((np.ones(rows.size), rows.reshape(-1), indptr),
+                     shape=(nX * nY * nA * nB, count))
+
+
+def _membership_lp(d_mat, target: np.ndarray):
+    """min t  s.t. |D w - p|_max <= t, w in the simplex, solved as max -t.
+
+    Returns (t*, w*, y_ub, y_eq), the duals of the maximization; they price
+    vertex columns during column generation.
     """
-    from scipy.optimize import linprog
+    from scipy.sparse import block_array, csr_array
 
     entries, width = d_mat.shape
-    c = np.zeros(width + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * entries, width + 1))
-    a_ub[:entries, :-1] = d_mat
-    a_ub[:entries, -1] = -1.0
-    a_ub[entries:, :-1] = -d_mat
-    a_ub[entries:, -1] = -1.0
-    b_ub = np.concatenate([target, -target])
-    a_eq = np.zeros((1, width + 1))
-    a_eq[0, :-1] = 1.0
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                     bounds=(0, None), method="highs")
-    if not result.success:  # pragma: no cover - LP is always feasible
-        raise PreconditionError(f"membership LP failed: {result.message}")
-    return (float(result.fun), result.x[:-1],
-            np.asarray(result.ineqlin.marginals),
-            float(np.asarray(result.eqlin.marginals)[0]))
+    objective = np.zeros(width + 1)
+    objective[-1] = -1.0
+    minus_t = csr_array(-np.ones((entries, 1)))
+    a_ub = block_array([[d_mat, minus_t], [-d_mat, minus_t]], format="csr")
+    a_eq = csr_array(np.append(np.ones(width), 0.0)[None, :])
+    result = simplex_solve(LinearProgram(objective, a_eq=a_eq, b_eq=[1.0],
+                                         a_ub=a_ub, b_ub=np.concatenate([target, -target])))
+    if result.status != "optimal":  # pragma: no cover - LP is always feasible
+        raise PreconditionError(f"membership LP ended with status {result.status}")
+    return -result.optimum, result.x[:-1], result.dual[1:], float(result.dual[0])
 
 
 def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport]:
@@ -315,11 +324,14 @@ def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport
     The LP minimizes the largest entrywise deviation t between p and a convex
     combination of the nA^nX * nB^nY deterministic vertices (cap 10^7);
     membership holds when the optimum is at most ``tol``, and the optimum is
-    reported as the separation gap otherwise.  Instances whose vertex matrix
-    exceeds the direct budget are solved by lazy column generation: pricing
-    scans all of Alice's maps at once (Bob's best reply is closed-form per
-    question), and termination is certified when no vertex improves the
-    master, so the result is the optimum of the same full LP.
+    reported as the separation gap otherwise.  The vertex matrix is built
+    sparse from the tables of (f, g), one nonzero per question pair and
+    vertex, and the LP is solved by HiGHS through ``simplex.simplex_solve``.
+    Instances whose vertex matrix exceeds the direct budget are solved by
+    lazy column generation: pricing scans all of Alice's maps at once (Bob's
+    best reply is closed-form per question), and termination is certified
+    when no vertex improves the master, so the result is the optimum of the
+    same full LP.
     """
     nX, nY, nA, nB = corr.shape
     n_f = nA ** nX
@@ -331,29 +343,24 @@ def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport
     target = corr.p.reshape(entries)
 
     if 2 * entries * (n_f * n_g) <= DIRECT_ENTRY_BUDGET:
-        fs = _strategy_tables(nX, nA)
-        gs = _strategy_tables(nY, nB)
-        one_hot_f = np.zeros((n_f, nX, nA))
-        one_hot_f[np.arange(n_f)[:, None], np.arange(nX)[None, :], fs] = 1.0
-        one_hot_g = np.zeros((n_g, nY, nB))
-        one_hot_g[np.arange(n_g)[:, None], np.arange(nY)[None, :], gs] = 1.0
-        d_mat = np.einsum("fxa,gyb->xyabfg", one_hot_f, one_hot_g).reshape(entries, -1)
-        gap, lam, _, _ = _membership_lp(d_mat, target)
-        gap = max(gap, 0.0)
-        if gap > tol:
-            return False, LocalityReport(False, gap, ())
-        weights = []
-        for v in np.flatnonzero(lam > 1e-12):
-            fi, gi = divmod(int(v), n_g)
-            weights.append((tuple(int(d) for d in fs[fi]),
-                            tuple(int(d) for d in gs[gi]), float(lam[v])))
-        return True, LocalityReport(True, gap, tuple(weights))
-    return _is_local_generated(corr, target, tol)
+        fs = np.repeat(_strategy_tables(nX, nA), n_g, axis=0)
+        gs = np.tile(_strategy_tables(nY, nB), (n_f, 1))
+        gap, lam, _, _ = _membership_lp(_vertex_matrix(fs, gs, nA, nB), target)
+    else:
+        fs, gs, gap, lam = _generate_columns(corr, target)
+    gap = max(gap, 0.0)
+    if gap > tol:
+        return False, LocalityReport(False, gap, ())
+    weights = tuple((tuple(int(d) for d in fs[v]), tuple(int(d) for d in gs[v]), float(lam[v]))
+                    for v in np.flatnonzero(lam > 1e-12))
+    return True, LocalityReport(True, gap, weights)
 
 
-def _is_local_generated(corr: Correlation, target: np.ndarray,
-                        tol: float) -> tuple[bool, LocalityReport]:
-    """Column generation for the membership LP at large vertex counts."""
+def _generate_columns(corr: Correlation, target: np.ndarray):
+    """Column generation for the membership LP at large vertex counts.
+
+    Returns the final master's vertex tables fs, gs with its (t*, w*).
+    """
     from .strategies import top_strategies
 
     nX, nY, nA, nB = corr.shape
@@ -363,7 +370,6 @@ def _is_local_generated(corr: Correlation, target: np.ndarray,
         return top_strategies(phi.reshape(corr.shape).transpose(0, 2, 1, 3), count)
 
     working: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    columns: list[np.ndarray] = []
     seen: set = set()
 
     def add_vertices(ranked, threshold: float) -> int:
@@ -373,28 +379,21 @@ def _is_local_generated(corr: Correlation, target: np.ndarray,
                 continue
             seen.add((f, g))
             working.append((f, g))
-            columns.append(deterministic_correlation(f, g, nA, nB).p.reshape(entries))
             added += 1
         return added
 
     batch = min(512, nA ** nX)
     add_vertices(price(target, batch), -np.inf)
     for _ in range(2000):
-        gap, lam, dual_ub, dual_eq = _membership_lp(np.column_stack(columns), target)
-        # Reduced cost of a vertex column v (minimization, scipy marginals):
-        #   0 - (m_ub . [D_v; -D_v] + m_eq) < 0  <=>  phi . D_v > -m_eq
-        # with phi = m_plus - m_minus; those columns improve the master.
-        phi = dual_ub[:entries] - dual_ub[entries:]
-        if add_vertices(price(phi, batch), -dual_eq) == 0:
-            break
-    else:  # pragma: no cover - column generation failed to settle
-        raise PreconditionError("local membership did not converge")
-    gap = max(float(gap), 0.0)
-    if gap > tol:
-        return False, LocalityReport(False, gap, ())
-    weights = tuple((working[v][0], working[v][1], float(lam[v]))
-                    for v in np.flatnonzero(lam > 1e-12))
-    return True, LocalityReport(True, gap, weights)
+        fs, gs = (np.array(maps) for maps in zip(*working))
+        gap, lam, dual_ub, dual_eq = _membership_lp(_vertex_matrix(fs, gs, nA, nB), target)
+        # Reduced cost of a vertex column v in the maximization of -t:
+        #   0 - (y_ub . [D_v; -D_v] + y_eq) > 0  <=>  phi . D_v > y_eq
+        # with phi = y_minus - y_plus; those columns improve the master.
+        phi = dual_ub[entries:] - dual_ub[:entries]
+        if add_vertices(price(phi, batch), dual_eq) == 0:
+            return fs, gs, gap, lam
+    raise PreconditionError("local membership did not converge")  # pragma: no cover
 
 
 def product_correlation(p1: Correlation, p2: Correlation) -> Correlation:

@@ -4,8 +4,11 @@ Three engines live here:
 
 * ``ns_value`` -- exact supremum over the no-signalling polytope, as a linear
   program over the correlation entries (nonnegativity, per-pair normalization,
-  and the marginal equalities), solved by the in-package simplex.  The dense
-  constraint matrix is capped at 1e8 entries.
+  and the marginal equalities).  The constraints are built as one sparse
+  matrix and solved by HiGHS through ``simplex.simplex_solve``.  The result
+  is certified from both sides, by the primal correlation and by a dual
+  bound.  ``NS_LP_CAP`` (1e8 rows x columns) caps the solve time: larger LPs
+  raise ``TooLargeError`` before anything is built.
 * ``local_value`` -- exact maximum over deterministic strategy pairs.  Alice's
   maps are enumerated (cap 1e8) by the kernel in ``strategies``: a
   meet-in-the-middle split of her input set, scored in exact integers when
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import rand, strategies
 from .channels import FiniteChannel, Povm
-from .correlations import Correlation, qs_probabilities
+from .correlations import Correlation, is_no_signalling, qs_probabilities
 from .errors import NumericError, TooLargeError, ValidationError
 from .linalg import hermitize
 from .simplex import LinearProgram, simplex_solve
@@ -37,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .games import FiniteGame
 
 LOCAL_ENUM_CAP = 10 ** 8
-NS_LP_CAP = 10 ** 8  # entries of the dense no-signalling constraint matrix
+NS_LP_CAP = 10 ** 8  # rows x columns of the no-signalling LP: a solve-time cap
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +53,12 @@ def ns_value_lp(game: "FiniteGame") -> LinearProgram:
 
     Variables are the entries p(a,b|x,y) flattened row-major over (x,y,a,b);
     constraints are per-(x,y) normalization and the no-signalling equalities
-    between consecutive question pairs (which imply all pairs).
+    between consecutive question pairs (which imply all pairs), built as one
+    sparse CSR matrix.  ``NS_LP_CAP`` bounds rows x columns before anything is
+    built.
     """
+    from scipy.sparse import coo_array
+
     nX, nY, nA, nB = game.shape
     n_vars = nX * nY * nA * nB
     n_rows = nX * nY + nX * nA * (nY - 1) + nY * nB * (nX - 1)
@@ -60,42 +67,64 @@ def ns_value_lp(game: "FiniteGame") -> LinearProgram:
             f"no-signalling LP would hold {n_rows} x {n_vars} dense entries, over cap "
             f"{NS_LP_CAP}")
     index = np.arange(n_vars).reshape(nX, nY, nA, nB)
-
-    rows: list[np.ndarray] = []
-    for x in range(nX):
-        for y in range(nY):
-            row = np.zeros(n_vars)
-            row[index[x, y].reshape(-1)] = 1.0
-            rows.append(row)
-    for x in range(nX):
-        for a in range(nA):
-            for y in range(nY - 1):
-                row = np.zeros(n_vars)
-                row[index[x, y, a, :]] = 1.0
-                row[index[x, y + 1, a, :]] = -1.0
-                rows.append(row)
-    for y in range(nY):
-        for b in range(nB):
-            for x in range(nX - 1):
-                row = np.zeros(n_vars)
-                row[index[x, y, :, b]] = 1.0
-                row[index[x + 1, y, :, b]] = -1.0
-                rows.append(row)
-    a_eq = np.vstack(rows)
-    b_eq = np.zeros(a_eq.shape[0])
+    rows = [np.repeat(np.arange(nX * nY), nA * nB)]
+    cols = [index.reshape(-1)]
+    vals = [np.ones(n_vars)]
+    start = nX * nY
+    # Alice's rows (x, a, y), then Bob's rows (y, b, x): the marginal of the
+    # outcome at question y (or x) minus the marginal at the next question.
+    for t in (index.transpose(0, 2, 1, 3), index.transpose(1, 3, 0, 2)):
+        context, outcome, other, _ = t.shape
+        row = start + np.arange(context * outcome * (other - 1)).reshape(
+            context, outcome, other - 1, 1)
+        for part, sign in ((t[:, :, :-1], 1.0), (t[:, :, 1:], -1.0)):
+            rows.append(np.broadcast_to(row, part.shape).reshape(-1))
+            cols.append(part.reshape(-1))
+            vals.append(np.full(part.size, sign))
+        start += row.size
+    a_eq = coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(n_rows, n_vars)).tocsr()
+    b_eq = np.zeros(n_rows)
     b_eq[: nX * nY] = 1.0
     objective = (game.dist[:, :, None, None] * game.win).reshape(-1)
     return LinearProgram(objective, a_eq=a_eq, b_eq=b_eq)
 
 
 def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
-    """Exact no-signalling value with an attaining correlation."""
-    result = simplex_solve(ns_value_lp(game))
+    """Exact no-signalling value with an attaining correlation.
+
+    The optimum is checked from both sides before it is returned.  The primal
+    must be a no-signalling ``Correlation``; the value is its payoff with each
+    (x,y) slice and the question distribution divided by their sums, clamped
+    to [0, 1], so that a game the primal wins surely reads exactly 1.0 even
+    when the float question weights sum to 1 - 1e-16.  The dual y must be
+    feasible, c - A^T y <= tol, and its bound b.y must reach the value less
+    tol, with tol = ``games.VALUE_TOL``.  Either failure raises
+    ``NumericError``.
+    """
+    from .games import VALUE_TOL  # games imports this module
+
+    lp = ns_value_lp(game)
+    result = simplex_solve(lp)
     if result.status != "optimal":  # pragma: no cover - polytope is nonempty
         raise NumericError(f"no-signalling LP ended with status {result.status}")
-    nX, nY, nA, nB = game.shape
-    corr = Correlation(result.x.reshape(nX, nY, nA, nB))
-    return min(max(result.optimum, 0.0), 1.0), corr
+    try:
+        corr = Correlation(result.x.reshape(game.shape))
+    except ValidationError as exc:
+        raise NumericError(f"no-signalling primal is not a correlation: {exc}") from exc
+    ok, cert = is_no_signalling(corr, VALUE_TOL)
+    if not ok:
+        raise NumericError("no-signalling primal signals", residual=cert.worst)
+    won = (game.win * corr.p).sum(axis=(2, 3)) / corr.p.sum(axis=(2, 3))
+    value = min(max(float(np.sum(game.dist * won) / np.sum(game.dist)), 0.0), 1.0)
+    excess = float(np.max(lp.objective - lp.a_eq.T @ result.dual))
+    if excess > VALUE_TOL:
+        raise NumericError("no-signalling dual is infeasible", residual=excess)
+    bound = float(lp.b_eq @ result.dual)
+    if bound < value - VALUE_TOL:
+        raise NumericError("no-signalling dual bound is below the value",
+                           residual=value - bound)
+    return value, corr
 
 
 # ---------------------------------------------------------------------------

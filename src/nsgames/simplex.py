@@ -1,22 +1,17 @@
-"""Dense two-phase simplex for the game-value linear programs.
+"""The one linear-programming layer of the package: HiGHS behind ``simplex_solve``.
 
 Problems are maximizations over the nonnegative orthant,
 
     max c.x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0,
 
-which covers every polytope appearing here (correlation normalization and
-no-signalling equalities, plus occasional slack rows).  The solver is exact in
-the simplex sense: it terminates at a basic feasible solution together with a
-dual vector certifying optimality through the sign of the reduced costs.
-
-Pivoting uses Dantzig's rule for the entering column and the lexicographic
-ratio test for the leaving row: ties in the minimum ratio are broken by
-comparing the candidate rows, scaled by their pivot entries, first on the
-right-hand side and then on the basis-inverse block (the artificial columns,
-which are kept in the tableau through both phases precisely for this
-purpose).  Rows stay lexicographically positive, no basis ever repeats, and
-termination is guaranteed even on heavily degenerate game polytopes.
-Artificial variables never re-enter the basis once they leave.
+which covers the no-signalling LP of ``optimize.ns_value`` and the
+local-membership LP of ``correlations.is_local``.  The matrices may be dense
+arrays or scipy sparse arrays.  ``simplex_solve`` calls
+``scipy.optimize.linprog(method="highs")``, the dual revised simplex of
+Huangfu & Hall, "Parallelizing the dual revised simplex method", Math. Prog.
+Comp. 10 (2018).  It returns the primal point with the dual y of the
+maximization, so that a caller can certify the optimum itself:
+c - A^T y <= 0 and b.y >= c.x.  scipy is imported on the first solve.
 """
 
 from __future__ import annotations
@@ -27,46 +22,47 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-10
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x subject to equalities, inequalities, and x >= 0."""
+    """max objective . x subject to equalities, inequalities, and x >= 0.
+
+    ``a_eq`` and ``a_ub`` may be dense or scipy sparse; sparse ones are kept
+    as CSR.
+    """
 
     objective: np.ndarray
-    a_eq: np.ndarray | None = None
+    a_eq: object = None
     b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
+    a_ub: object = None
     b_ub: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
         object.__setattr__(self, "objective", c)
-        n = c.shape[0]
-        for name in ("a_eq", "a_ub"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = np.atleast_2d(np.asarray(mat, dtype=float))
-                if mat.shape[1] != n:
-                    raise ValidationError("consistent shapes",
-                                          detail=f"{name} has {mat.shape[1]} columns, need {n}")
-                object.__setattr__(self, name, mat)
+        finite = [c]
         for mat_name, vec_name in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
             mat, vec = getattr(self, mat_name), getattr(self, vec_name)
             if (mat is None) != (vec is None):
                 raise ValidationError("consistent shapes",
                                       detail=f"{mat_name} and {vec_name} must come together")
-            if vec is not None:
-                vec = np.atleast_1d(np.asarray(vec, dtype=float))
-                if vec.shape[0] != mat.shape[0]:
-                    raise ValidationError("consistent shapes",
-                                          detail=f"{vec_name} length {vec.shape[0]} != rows {mat.shape[0]}")
-                object.__setattr__(self, vec_name, vec)
-        for arr in (self.objective, self.a_eq, self.b_eq, self.a_ub, self.b_ub):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValidationError("finite entries")
+            if mat is None:
+                continue
+            sparse = hasattr(mat, "tocsr")
+            mat = (mat.tocsr().astype(float, copy=False) if sparse
+                   else np.atleast_2d(np.asarray(mat, dtype=float)))
+            vec = np.atleast_1d(np.asarray(vec, dtype=float))
+            if mat.shape != (vec.shape[0], c.shape[0]):
+                raise ValidationError("consistent shapes", detail=(
+                    f"{mat_name} is {mat.shape[0]} x {mat.shape[1]} with {vec.shape[0]} "
+                    f"right-hand sides and {c.shape[0]} variables"))
+            finite += [mat.data if sparse else mat, vec]
+            object.__setattr__(self, mat_name, mat)
+            object.__setattr__(self, vec_name, vec)
+        if not all(np.all(np.isfinite(arr)) for arr in finite):
+            raise ValidationError("finite entries")
 
     @property
     def num_vars(self) -> int:
@@ -75,216 +71,39 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """One solve.  ``dual`` is y over the equality rows, then the inequality
+    rows (y >= 0 there); ``reduced_costs`` is c - A^T y; ``iterations`` is the
+    HiGHS simplex iteration count.  Only an optimal result carries a dual."""
+
     status: str                      # "optimal" | "infeasible" | "unbounded"
     optimum: float
     x: np.ndarray                    # values of the caller's variables
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual_objective: float = 0.0
     reduced_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    phase1_residual: float = 0.0
     iterations: int = 0
-    basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
-class _Unbounded(Exception):
-    pass
+def simplex_solve(lp: LinearProgram) -> SimplexResult:
+    """Solve ``lp`` with HiGHS.  Raises ``NumericError`` when HiGHS stops
+    short of optimality, infeasibility or unboundedness."""
+    from scipy.optimize import linprog
 
-
-def _warm_tableau(a_std: np.ndarray, b_std: np.ndarray,
-                  warm_basis: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Tableau for a caller-supplied feasible basis, or (None, None)."""
-    m, n = a_std.shape
-    basis = np.asarray(warm_basis, dtype=int).copy()
-    if basis.shape != (m,) or basis.min(initial=0) < 0 or basis.max(initial=0) >= n:
-        return None, None
-    try:
-        inverse = np.linalg.inv(a_std[:, basis])
-    except np.linalg.LinAlgError:
-        return None, None
-    solution = inverse @ b_std
-    if solution.min(initial=0.0) < -FEAS_TOL:
-        return None, None
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = inverse @ a_std
-    tableau[:m, n:n + m] = inverse
-    tableau[:m, -1] = np.clip(solution, 0.0, None)
-    return tableau, basis
-
-
-def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
-def _leaving_row(tableau: np.ndarray, col: int, m: int, lex_lo: int, lex_hi: int) -> int:
-    """Minimum-ratio row; ties resolved by the lexicographic rule.
-
-    Tied rows are compared entrywise, scaled by their pivot entry, first on
-    the right-hand side and then across the basis-inverse block
-    ``lex_lo:lex_hi``; the lexicographically smallest row leaves.
-    """
-    column = tableau[:m, col]
-    positive = np.flatnonzero(column > PIVOT_TOL)
-    if positive.size == 0:
-        raise _Unbounded()
-    ratios = tableau[positive, -1] / column[positive]
-    best = ratios.min()
-    ties = positive[ratios <= best + 1e-12]
-    while ties.size > 1:
-        for j in range(lex_lo, lex_hi):
-            values = tableau[ties, j] / column[ties]
-            lowest = values.min()
-            ties = ties[values <= lowest + 1e-12]
-            if ties.size == 1:
-                break
-        else:
-            break  # numerically identical rows; lowest index wins
-    return int(ties[0])
-
-
-def _run(tableau: np.ndarray, basis: np.ndarray, ncols: int,
-         lex_lo: int, lex_hi: int, start_iter: int, max_iter: int) -> int:
-    """Iterate to optimality; entering restricted to the first ``ncols``
-    columns.  Returns the cumulative iteration count; raises on unbounded."""
-    m = tableau.shape[0] - 1
-    iters = start_iter
-    while True:
-        costs = tableau[m, :ncols]
-        col = int(np.argmax(costs))
-        if costs[col] <= FEAS_TOL:
-            return iters
-        row = _leaving_row(tableau, col, m, lex_lo, lex_hi)
-        _pivot(tableau, row, col, basis)
-        iters += 1
-        if iters > max_iter:
-            raise NumericError(f"simplex iteration cap exceeded ({max_iter})")
-
-
-def simplex_solve(lp: LinearProgram, tol: float = FEAS_TOL,
-                  warm_basis: np.ndarray | None = None) -> SimplexResult:
-    """Two-phase simplex; returns an optimal basic solution with a dual
-    certificate, or an infeasible status carrying the phase-one residual.
-
-    ``warm_basis`` may name a known feasible basis (column indices into the
-    standardized [variables | slacks] matrix, one per row); phase one is then
-    skipped entirely.  An unusable warm basis silently falls back to the cold
-    start.
-    """
-    n_user = lp.num_vars
-    blocks, rhs_parts = [], []
-    if lp.a_eq is not None:
-        blocks.append((lp.a_eq, None))
-        rhs_parts.append(lp.b_eq)
-    n_slack = 0 if lp.a_ub is None else lp.a_ub.shape[0]
-    if lp.a_ub is not None:
-        blocks.append((lp.a_ub, np.eye(n_slack)))
-        rhs_parts.append(lp.b_ub)
-    if not blocks:
-        # Only x >= 0: unbounded unless no objective coefficient is positive.
-        if np.any(lp.objective > tol):
-            return SimplexResult("unbounded", np.inf, np.zeros(n_user))
-        return SimplexResult("optimal", 0.0, np.zeros(n_user),
-                             reduced_costs=lp.objective.copy())
-    rows = []
-    for mat, slack in blocks:
-        if slack is None:
-            rows.append(np.hstack([mat, np.zeros((mat.shape[0], n_slack))]))
-        else:
-            rows.append(np.hstack([mat, slack]))
-    a_std = np.vstack(rows)
-    b_std = np.concatenate(rhs_parts).astype(float)
-    c_std = np.concatenate([lp.objective, np.zeros(n_slack)])
-    flip = b_std < 0
-    a_std[flip] *= -1.0
-    b_std[flip] *= -1.0
-
-    m, n = a_std.shape
-    max_iter = 500 * (m + n) + 10_000
-
-    tableau = None
-    basis = None
-    iters = 0
-    infeasibility = 0.0
-    keep = np.ones(m, dtype=bool)
-    if warm_basis is not None:
-        tableau, basis = _warm_tableau(a_std, b_std, warm_basis)
-    if tableau is None:
-        # Phase I: artificial basis, objective = -(sum of artificials).  The
-        # artificial columns double as the basis-inverse block for the
-        # lexicographic rule and stay in the tableau through phase II.
-        tableau = np.zeros((m + 1, n + m + 1))
-        tableau[:m, :n] = a_std
-        tableau[:m, n:n + m] = np.eye(m)
-        tableau[:m, -1] = b_std
-        tableau[m, :n] = a_std.sum(axis=0)
-        tableau[m, -1] = b_std.sum()
-        basis = np.arange(n, n + m)
-        try:
-            iters = _run(tableau, basis, n, n, n + m, 0, max_iter)
-        except _Unbounded:  # pragma: no cover - phase I is always bounded
-            raise NumericError("phase I reported unbounded")
-        infeasibility = float(tableau[m, -1])
-        if infeasibility > tol * max(1.0, abs(b_std).max(initial=0.0)):
-            return SimplexResult("infeasible", np.nan, np.full(n_user, np.nan),
-                                 phase1_residual=infeasibility, iterations=iters)
-
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        for i in range(m):
-            if basis[i] >= n:
-                row = tableau[i, :n]
-                candidates = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-                if candidates.size:
-                    _pivot(tableau, i, int(candidates[0]), basis)
-                else:
-                    keep[i] = False
-        if not np.all(keep):
-            tableau = np.vstack([tableau[:m][keep], tableau[m:]])
-            basis = basis[keep]
-            m = int(keep.sum())
-
-    # Phase II: rebuild the objective row for the real costs.
-    tableau[m, :] = 0.0
-    tableau[m, :n] = c_std
-    for i in range(m):
-        coeff = c_std[basis[i]]
-        if coeff != 0.0:
-            tableau[m, :] -= coeff * tableau[i, :]
-    try:
-        iters = _run(tableau, basis, n, n, tableau.shape[1] - 1, iters, max_iter)
-    except _Unbounded:
-        return SimplexResult("unbounded", np.inf, np.full(n_user, np.nan),
-                             phase1_residual=infeasibility, iterations=iters)
-
-    x_std = np.zeros(n)
-    x_std[basis] = tableau[:m, -1]
-    optimum = float(c_std @ x_std)
-    rows_kept = np.flatnonzero(keep)
-    a_kept = a_std[rows_kept]
-    b_kept = b_std[rows_kept]
-    try:
-        dual = np.linalg.solve(a_kept[:, basis].T, c_std[basis])
-    except np.linalg.LinAlgError:
-        dual = np.linalg.lstsq(a_kept[:, basis].T, c_std[basis], rcond=None)[0]
-    reduced = c_std - a_kept.T @ dual
-    feas_residual = float(np.max(np.abs(a_kept @ x_std - b_kept), initial=0.0))
-    if feas_residual > 1e-7 * max(1.0, abs(b_std).max(initial=0.0)):
-        raise NumericError("primal feasibility lost", residual=feas_residual)
-    full_dual = np.zeros(a_std.shape[0])
-    full_dual[rows_kept] = dual
-    full_dual[flip] *= -1.0
-    return SimplexResult(
-        status="optimal",
-        optimum=optimum,
-        x=x_std[:n_user],
-        dual=full_dual,
-        dual_objective=float(dual @ b_kept),
-        reduced_costs=reduced[:n_user],
-        phase1_residual=infeasibility,
-        iterations=iters,
-        basis=basis.copy(),
-    )
+    result = linprog(-lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                     bounds=(0, None), method="highs")
+    status = _STATUS.get(result.status)
+    if status is None:
+        raise NumericError(f"HiGHS stopped: {result.message}")
+    if status != "optimal":
+        return SimplexResult(status, np.inf if status == "unbounded" else np.nan,
+                             np.full(lp.num_vars, np.nan), iterations=int(result.nit))
+    reduced, duals, bound = lp.objective.copy(), [], 0.0
+    for mat, rhs, side in ((lp.a_eq, lp.b_eq, result.eqlin), (lp.a_ub, lp.b_ub, result.ineqlin)):
+        if mat is not None:
+            y = -np.asarray(side.marginals)  # scipy's are those of min -c.x
+            reduced -= mat.T @ y
+            bound += float(rhs @ y)
+            duals.append(y)
+    return SimplexResult("optimal", -float(result.fun), np.asarray(result.x),
+                         np.concatenate(duals) if duals else np.zeros(0), bound, reduced,
+                         int(result.nit))

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,6 +156,17 @@ class TestSequenceCommand:
         assert main(["sequence", str(path), "--mode", "iid", "--type", "ns",
                      "--n-max", "3", "--format", "machine", "--threads", "1"]) == 0
         assert capsys.readouterr().out == "entry 1 1.0 1.0\nentry 2 1.0 1.0\ntruncated 1\n"
+
+    def test_ns_output_independent_of_threads(self, chsh_file, capsys):
+        # n = 3 is chsh^3, a 960 x 4,096 NS LP; two threads solve stages concurrently
+        outputs = []
+        start = time.perf_counter()
+        for threads in ("1", "2"):
+            assert main(["sequence", chsh_file, "--mode", "iid", "--type", "ns", "--n-max", "3",
+                         "--format", "machine", "--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert time.perf_counter() - start < 5.0
+        assert outputs[0] == outputs[1] == "entry 1 1.0 1.0\nentry 2 1.0 1.0\nentry 3 1.0 1.0\n"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_rising_values_raise_numeric_error(self, chsh_file, monkeypatch, threads):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -20,7 +21,7 @@ from nsgames import (
     seesaw_state_update,
     top_deterministic_strategies,
 )
-from nsgames import all_win, iterate, memory_game, rand
+from nsgames import FiniteGame, all_win, embed, iterate, memory_game, rand
 from nsgames.linalg import kron, max_abs
 
 from conftest import PAULI_X, PAULI_Z, pauli_pvm, pr_box
@@ -86,6 +87,44 @@ class TestNsValue:
             ns_value(iterate(memory_game(chsh()), 3))
         assert time.perf_counter() - start < 1.0
         assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (960, 4096)
+
+    def test_failing_game_solves(self):
+        # a 6^4 game on which a dense tableau simplex lost primal feasibility
+        rng = np.random.default_rng([8, 2])
+        rng.random((2, 2, 2, 2))
+        rules = rng.random((6, 6, 6, 6)) < 0.3
+        dist = rng.random((6, 6)) + 0.1
+        game = FiniteGame(rules, dist / dist.sum())
+        value, corr = ns_value(game)
+        assert value == pytest.approx(0.85358091006949, abs=1e-9)
+        assert payoff(game, corr) == pytest.approx(value, abs=1e-9)
+
+    def test_chained3_iid2_is_fast(self):
+        # 9x9x4x4, 657 rows: a dense tableau stalled past 38,000 pivots here
+        x, y, a, b = np.indices((3, 3, 2, 2))
+        game = FiniteGame((a ^ b) == ((x == 2) & (y == 2)), np.full((3, 3), 1 / 9))
+        start = time.perf_counter()
+        value, _ = ns_value(iterate(embed(game), 2))
+        assert time.perf_counter() - start < 2.0
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("corrupt", ["dual", "primal"])
+    def test_failed_certificate_raises(self, monkeypatch, corrupt):
+        from nsgames import NumericError, optimize
+
+        solve = optimize.simplex_solve
+
+        def corrupted(lp):
+            result = solve(lp)
+            if corrupt == "dual":
+                return dataclasses.replace(result, dual=np.zeros_like(result.dual))
+            signalling = np.zeros_like(result.x)
+            signalling[[0, 7, 8, 12]] = 1.0  # Alice's x=0 answer depends on y
+            return dataclasses.replace(result, x=signalling)
+
+        monkeypatch.setattr(optimize, "simplex_solve", corrupted)
+        with pytest.raises(NumericError, match="no-signalling (dual|primal)"):
+            ns_value(chsh())
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
