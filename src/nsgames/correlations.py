@@ -3,7 +3,8 @@
 A correlation is the tensor p(a,b|x,y) over four finite alphabets.  Builders
 produce members of the local / quantum-spatial / quantum-commuting classes
 from their defining data; ``is_local`` decides membership in the local
-polytope exactly via a linear program over the deterministic vertices.
+polytope by one linear program, in which the party with fewer deterministic
+maps answers deterministically and the other keeps a channel.
 
 Index convention (used consistently across games and the CLI): a pair (i, j)
 drawn from alphabets of sizes (n1, n2) is encoded row-major as i * n2 + j.
@@ -16,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import FiniteChannel, channels_commute
-from .errors import ParseError, PreconditionError, TooLargeError, ValidationError
+from .errors import (NumericError, ParseError, PreconditionError, TooLargeError,
+                     ValidationError)
 from .simplex import LinearProgram, simplex_solve
 
 SUM_TOL = 1e-9
 CLIP_TOL = 1e-12
 IMAG_TOL = 1e-10
 VERTEX_CAP = 10 ** 7
+WEIGHT_FLOOR = 1e-12  # smaller local weights are dropped from a decomposition
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -276,62 +279,81 @@ def _strategy_tables(n_inputs: int, n_outputs: int) -> np.ndarray:
     return digits
 
 
-# Budget, in cells of the two-sided dense matrix (2 x entries x vertices),
-# below which the membership LP is solved with every vertex column
-# materialized; larger instances go through lazy column generation.  The hard
-# vertex cap stays at 10^7 either way.
-DIRECT_ENTRY_BUDGET = 40_000_000
+def _membership_lp(p: np.ndarray):
+    """min t  s.t. |L - p|_max <= t, solved as max -t, over
+    L[x,y,a,b] = sum_{f: f(x)=a} q[f,y,b] with q >= 0, sum_b q[f,y,b] the
+    same for every y, and sum_{f,b} q[f,0,b] = 1.
 
-
-def _vertex_matrix(fs: np.ndarray, gs: np.ndarray, nA: int, nB: int):
-    """Sparse D, entries x vertices: column k is the deterministic correlation
-    of the maps (fs[k], gs[k]), one 1 per question pair (x, y)."""
-    from scipy.sparse import csc_array
-
-    count, nX = fs.shape
-    nY = gs.shape[1]
-    pairs = np.arange(nX)[:, None] * nY + np.arange(nY)[None, :]
-    rows = (pairs[None] * nA + fs[:, :, None]) * nB + gs[:, None, :]
-    indptr = np.arange(count + 1) * (nX * nY)
-    return csc_array((np.ones(rows.size), rows.reshape(-1), indptr),
-                     shape=(nX * nY * nA * nB, count))
-
-
-def _membership_lp(d_mat, target: np.ndarray):
-    """min t  s.t. |D w - p|_max <= t, w in the simplex, solved as max -t.
-
-    Returns (t*, w*, y_ub, y_eq), the duals of the maximization; they price
-    vertex columns during column generation.
+    Returns (t*, fs, q): Alice's map tables and q shaped (maps, nY, nB).
     """
-    from scipy.sparse import block_array, csr_array
+    from scipy.sparse import csr_array
 
-    entries, width = d_mat.shape
+    nX, nY, nA, nB = p.shape
+    fs = _strategy_tables(nX, nA)
+    n_f = fs.shape[0]
+    width, entries = n_f * nY * nB, p.size
+    # q[f, y, b] (column (f * nY + y) * nB + b) enters L at (x, f(x), y, b)
+    # for every x, with the entries ordered (x, a, y, b); t is the last column.
+    f_i, x_i, y_i, b_i = np.indices((n_f, nX, nY, nB)).reshape(4, -1)
+    rows = ((x_i * nA + fs[f_i, x_i]) * nY + y_i) * nB + b_i
+    cols = (f_i * nY + y_i) * nB + b_i
+    a_ub = csr_array((np.concatenate([np.ones(rows.size), -np.ones(rows.size + 2 * entries)]),
+                      (np.concatenate([rows, rows + entries, np.arange(2 * entries)]),
+                       np.concatenate([cols, cols, np.full(2 * entries, width)]))),
+                     shape=(2 * entries, width + 1))
+    target = p.transpose(0, 2, 1, 3).reshape(-1)
+    # Row sums of q[f] over b: row y equals row y + 1, and the y = 0 rows
+    # sum to 1 over f.
+    col = np.arange(width)
+    q_f, q_y = np.divmod(col // nB, nY)
+    step = q_f * (nY - 1) + q_y
+    head, tail, first = q_y < nY - 1, q_y > 0, q_y == 0
+    a_eq = csr_array((np.concatenate([np.ones(head.sum()), -np.ones(tail.sum()),
+                                      np.ones(first.sum())]),
+                      (np.concatenate([step[head], step[tail] - 1,
+                                       np.full(first.sum(), n_f * (nY - 1))]),
+                       np.concatenate([col[head], col[tail], col[first]]))),
+                     shape=(n_f * (nY - 1) + 1, width + 1))
+    b_eq = np.append(np.zeros(n_f * (nY - 1)), 1.0)
     objective = np.zeros(width + 1)
     objective[-1] = -1.0
-    minus_t = csr_array(-np.ones((entries, 1)))
-    a_ub = block_array([[d_mat, minus_t], [-d_mat, minus_t]], format="csr")
-    a_eq = csr_array(np.append(np.ones(width), 0.0)[None, :])
-    result = simplex_solve(LinearProgram(objective, a_eq=a_eq, b_eq=[1.0],
-                                         a_ub=a_ub, b_ub=np.concatenate([target, -target])))
+    result = simplex_solve(LinearProgram(objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub,
+                                         b_ub=np.concatenate([target, -target])))
     if result.status != "optimal":  # pragma: no cover - LP is always feasible
         raise PreconditionError(f"membership LP ended with status {result.status}")
-    return -result.optimum, result.x[:-1], result.dual[1:], float(result.dual[0])
+    return -result.optimum, fs, np.clip(result.x[:-1], 0.0, None).reshape(n_f, nY, nB)
+
+
+def _staircase(fs: np.ndarray, q: np.ndarray):
+    """Split each channel q[f] / w_f into deterministic maps g by one shared
+    quantile u in [0, 1): g(y) is the b whose cumulative slot of q[f, y] holds
+    u.  Yields (f, g, weight) with at most nY (nB - 1) + 1 maps per f."""
+    totals = q.sum(axis=(1, 2)) / q.shape[1]
+    for k in np.flatnonzero(totals > WEIGHT_FLOOR):
+        rows = q[k] / q[k].sum(axis=1, keepdims=True)
+        cum = np.clip(np.cumsum(rows, axis=1)[:, :-1], 0.0, 1.0)
+        cuts = np.unique(np.concatenate([[0.0, 1.0], cum.reshape(-1)]))
+        mids = (cuts[:-1] + cuts[1:]) / 2
+        gs = (cum[None] <= mids[:, None, None]).sum(axis=2)
+        for g, width in zip(gs, np.diff(cuts)):
+            yield fs[k], g, totals[k] * width
 
 
 def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport]:
-    """Exact local-polytope membership: an LP over the deterministic vertices.
+    """Exact local-polytope membership by one linear program.
 
-    The LP minimizes the largest entrywise deviation t between p and a convex
-    combination of the nA^nX * nB^nY deterministic vertices (cap 10^7);
-    membership holds when the optimum is at most ``tol``, and the optimum is
-    reported as the separation gap otherwise.  The vertex matrix is built
-    sparse from the tables of (f, g), one nonzero per question pair and
-    vertex, and the LP is solved by HiGHS through ``simplex.simplex_solve``.
-    Instances whose vertex matrix exceeds the direct budget are solved by
-    lazy column generation: pricing scans all of Alice's maps at once (Bob's
-    best reply is closed-form per question), and termination is certified
-    when no vertex improves the master, so the result is the optimum of the
-    same full LP.
+    The local polytope is the convex hull of the nA^nX * nB^nY deterministic
+    vertices (cap 10^7).  For finite alphabets it is also the set of
+    sum_f [a = f(x)] q_f(b|y): one party answers deterministically and the
+    other keeps a sub-normalized channel (Fine, PRL 48, 291 (1982)).  The LP
+    enumerates the maps of the party with fewer of them (transposing p to
+    put that party first) and minimizes the largest entrywise deviation t
+    between p and such a mixture; it is solved by HiGHS through
+    ``simplex.simplex_solve``.  Membership holds when t* <= ``tol``, and t*
+    is reported as the separation gap otherwise.  A local verdict carries
+    (f, g, weight) triples: each channel q_f is split into deterministic
+    maps by a shared quantile, and the triples must sum to 1 and rebuild p
+    within max(``tol``, ``SUM_TOL``), or ``NumericError`` is raised.
     """
     nX, nY, nA, nB = corr.shape
     n_f = nA ** nX
@@ -339,61 +361,36 @@ def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport
     if n_f * n_g > VERTEX_CAP:
         raise TooLargeError(
             f"deterministic vertex count {n_f * n_g} exceeds cap {VERTEX_CAP}")
-    entries = nX * nY * nA * nB
-    target = corr.p.reshape(entries)
-
-    if 2 * entries * (n_f * n_g) <= DIRECT_ENTRY_BUDGET:
-        fs = np.repeat(_strategy_tables(nX, nA), n_g, axis=0)
-        gs = np.tile(_strategy_tables(nY, nB), (n_f, 1))
-        gap, lam, _, _ = _membership_lp(_vertex_matrix(fs, gs, nA, nB), target)
-    else:
-        fs, gs, gap, lam = _generate_columns(corr, target)
+    swap = n_g < n_f
+    gap, fs, q = _membership_lp(corr.p.transpose(1, 0, 3, 2) if swap else corr.p)
     gap = max(gap, 0.0)
     if gap > tol:
         return False, LocalityReport(False, gap, ())
-    weights = tuple((tuple(int(d) for d in fs[v]), tuple(int(d) for d in gs[v]), float(lam[v]))
-                    for v in np.flatnonzero(lam > 1e-12))
+    triples = [(tuple(f.tolist()), tuple(g.tolist()), float(w))
+               for f, g, w in _staircase(fs, q) if w > WEIGHT_FLOOR]
+    # Ordered by (f, g) either way: within one f, g rises with the quantile.
+    weights = tuple(sorted((g, f, w) for f, g, w in triples) if swap else triples)
+    _certify(corr, weights, tol)
     return True, LocalityReport(True, gap, weights)
 
 
-def _generate_columns(corr: Correlation, target: np.ndarray):
-    """Column generation for the membership LP at large vertex counts.
-
-    Returns the final master's vertex tables fs, gs with its (t*, w*).
-    """
-    from .strategies import top_strategies
-
-    nX, nY, nA, nB = corr.shape
-    entries = target.size
-
-    def price(phi: np.ndarray, count: int):
-        return top_strategies(phi.reshape(corr.shape).transpose(0, 2, 1, 3), count)
-
-    working: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    seen: set = set()
-
-    def add_vertices(ranked, threshold: float) -> int:
-        added = 0
-        for score, f, g in ranked:
-            if score <= threshold + 1e-9 or (f, g) in seen:
-                continue
-            seen.add((f, g))
-            working.append((f, g))
-            added += 1
-        return added
-
-    batch = min(512, nA ** nX)
-    add_vertices(price(target, batch), -np.inf)
-    for _ in range(2000):
-        fs, gs = (np.array(maps) for maps in zip(*working))
-        gap, lam, dual_ub, dual_eq = _membership_lp(_vertex_matrix(fs, gs, nA, nB), target)
-        # Reduced cost of a vertex column v in the maximization of -t:
-        #   0 - (y_ub . [D_v; -D_v] + y_eq) > 0  <=>  phi . D_v > y_eq
-        # with phi = y_minus - y_plus; those columns improve the master.
-        phi = dual_ub[entries:] - dual_ub[:entries]
-        if add_vertices(price(phi, batch), dual_eq) == 0:
-            return fs, gs, gap, lam
-    raise PreconditionError("local membership did not converge")  # pragma: no cover
+def _certify(corr: Correlation, weights, tol: float) -> None:
+    """Raise ``NumericError`` unless the weights sum to 1 and sum w D_(f,g)
+    is p, both within ``tol`` or, if larger, ``SUM_TOL``: a correlation is
+    normalized only to that accuracy, and rounding alone exceeds tol = 0."""
+    tol = max(tol, SUM_TOL)
+    ws = np.array([w for _, _, w in weights])
+    excess = abs(float(ws.sum()) - 1.0)
+    if not excess <= tol:  # NaN fails too
+        raise NumericError("local weights do not sum to 1", residual=excess)
+    fs = np.array([f for f, _, _ in weights], dtype=int).reshape(-1, corr.nX)
+    gs = np.array([g for _, g, _ in weights], dtype=int).reshape(-1, corr.nY)
+    rebuilt = np.zeros(corr.shape)
+    np.add.at(rebuilt, (np.arange(corr.nX)[None, :, None], np.arange(corr.nY)[None, None, :],
+                        fs[:, :, None], gs[:, None, :]), ws[:, None, None])
+    miss = float(np.abs(rebuilt - corr.p).max())
+    if not miss <= tol:
+        raise NumericError("local decomposition does not rebuild p", residual=miss)
 
 
 def product_correlation(p1: Correlation, p2: Correlation) -> Correlation:

@@ -9,7 +9,8 @@ local-membership LP of ``correlations.is_local``.  The matrices may be dense
 arrays or scipy sparse arrays.  ``simplex_solve`` calls
 ``scipy.optimize.linprog(method="highs")``, the dual revised simplex of
 Huangfu & Hall, "Parallelizing the dual revised simplex method", Math. Prog.
-Comp. 10 (2018).  It returns the primal point with the dual y of the
+Comp. 10 (2018), with HiGHS's presolve off: on the package's LPs it cost
+more time than it saved.  It returns the primal point with the dual y of the
 maximization, so that a caller can certify the optimum itself:
 c - A^T y <= 0 and b.y >= c.x.  scipy is imported on the first solve.
 """
@@ -90,7 +91,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     from scipy.optimize import linprog
 
     result = linprog(-lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                     bounds=(0, None), method="highs")
+                     bounds=(0, None), method="highs", options={"presolve": False})
     status = _STATUS.get(result.status)
     if status is None:
         raise NumericError(f"HiGHS stopped: {result.message}")

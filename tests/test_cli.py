@@ -265,6 +265,22 @@ class TestCheckCommand:
         total = sum(float(line.rsplit("w=", 1)[1]) for line in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_local_output_independent_of_threads(self, tmp_path, capsys, rng):
+        from nsgames import from_local
+
+        # 3 x 4 x 2 x 2: Alice has 8 maps, Bob 16, so Alice's are enumerated
+        q = [rng.dirichlet(np.ones(2), size=3) for _ in range(3)]
+        r = [rng.dirichlet(np.ones(2), size=4) for _ in range(3)]
+        path = tmp_path / "local.corr"
+        path.write_text(dump_correlation(from_local(rng.dirichlet(np.ones(3)), q, r)))
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["check", str(path), "--test", "local", "--format", "machine",
+                         "--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("check local pass") and outputs[0].count("weight") > 1
+
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.corr"
         path.write_text("corr 2 2 2 2\nnope\n")

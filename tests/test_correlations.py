@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 from nsgames import (
     Correlation,
     FiniteChannel,
+    NumericError,
     ParseError,
     Povm,
     PreconditionError,
@@ -37,6 +42,41 @@ def random_local(rng, shape=(2, 2, 2, 2), terms=3):
     alice = [rng.dirichlet(np.ones(nA), size=nX) for _ in range(terms)]
     bob = [rng.dirichlet(np.ones(nB), size=nY) for _ in range(terms)]
     return from_local(weights, alice, bob)
+
+
+def vertex_lp_gap(p: np.ndarray) -> float:
+    """min t s.t. |sum_v w_v D_v - p| <= t over the simplex, one column per
+    deterministic vertex (f, g)."""
+    from scipy.optimize import linprog
+
+    nX, nY, nA, nB = p.shape
+    vertices = np.array([deterministic_correlation(f, g, nA, nB).p.reshape(-1)
+                         for f in itertools.product(range(nA), repeat=nX)
+                         for g in itertools.product(range(nB), repeat=nY)]).T
+    ones = np.ones((p.size, 1))
+    result = linprog(np.append(np.zeros(vertices.shape[1]), 1.0),
+                     A_ub=np.block([[vertices, -ones], [-vertices, -ones]]),
+                     b_ub=np.concatenate([p.reshape(-1), -p.reshape(-1)]),
+                     A_eq=np.append(np.ones(vertices.shape[1]), 0.0)[None], b_eq=[1.0],
+                     bounds=(0, None), method="highs")
+    assert result.status == 0
+    return result.fun
+
+
+def membership_inputs(rng) -> list[np.ndarray]:
+    """Local, signalling and non-local inputs with nA^nX below and above
+    nB^nY, and the PR box."""
+    pr = pr_box().p
+    cases = [pr]
+    for shape in ((2, 3, 2, 2), (3, 2, 2, 2), (2, 2, 2, 3), (2, 2, 3, 2)):
+        cases.append(random_local(rng, shape).p)
+        noise = rng.random(shape)
+        cases.append(noise / noise.sum(axis=(2, 3), keepdims=True))
+    for pad in ((1, 2, 1, 1), (2, 1, 1, 1)):
+        for visibility in (0.8, 0.95):  # CHSH win >= 0.8 > 3/4: non-local
+            noisy = Correlation(visibility * pr + (1 - visibility) * random_local(rng).p)
+            cases.append(product_correlation(noisy, random_local(rng, pad)).p)
+    return cases
 
 
 def random_channel(dim, inputs, outcomes, rng):
@@ -249,13 +289,56 @@ class TestIsLocal:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_decomposition_reconstructs(self, rng):
-        corr = random_local(rng, terms=4)
-        verdict, report = is_local(corr)
+        # Both orientations: Alice's maps enumerated, or Bob's (p transposed).
+        for shape in ((2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 2, 2), (2, 2, 2, 3),
+                      (2, 2, 3, 2), (3, 1, 2, 3), (2, 1, 2, 4)):
+            corr = random_local(rng, shape, terms=4)
+            verdict, report = is_local(corr)
+            assert verdict
+            rebuilt = np.zeros_like(corr.p)
+            for f, g, w in report.weights:
+                assert len(f) == corr.nX and len(g) == corr.nY and w > 0
+                rebuilt += w * deterministic_correlation(f, g, corr.nA, corr.nB).p
+            assert np.max(np.abs(rebuilt - corr.p)) <= 1e-8
+            is_local(corr, tol=0.0)  # certified within SUM_TOL: rounding does not raise
+
+    def test_compact_gap_matches_vertex_lp(self, rng):
+        # Oracle: the LP over every deterministic vertex, built here and
+        # solved by scipy directly.
+        inputs = membership_inputs(rng)
+        gaps = [is_local(Correlation(p))[1].gap for p in inputs]
+        oracle = [vertex_lp_gap(p) for p in inputs]
+        assert np.max(np.abs(np.subtract(gaps, oracle))) <= 1e-12
+        assert sum(g <= 1e-8 for g in gaps) >= 4 and sum(g > 0.01 for g in gaps) >= 8
+
+    @pytest.mark.parametrize("corrupt", ["rebuild", "total"])
+    def test_failed_decomposition_raises(self, monkeypatch, rng, corrupt):
+        from nsgames import correlations
+
+        solve = correlations.simplex_solve
+
+        def corrupted(lp):
+            result = solve(lp)
+            x = result.x.copy()
+            if corrupt == "total":
+                x[:-1] *= 1.5
+            else:  # hand each map's channel, nY * nB = 4 entries, to the next map
+                x[:-1] = np.roll(x[:-1], 4)
+            return dataclasses.replace(result, x=x)
+
+        monkeypatch.setattr(correlations, "simplex_solve", corrupted)
+        with pytest.raises(NumericError, match="rebuild" if corrupt == "rebuild" else "sum"):
+            is_local(random_local(rng))
+
+    @pytest.mark.parametrize("shape,limit", [((4, 4, 4, 4), 2.0), ((2, 16, 2, 2), 1.0)],
+                             ids=["4^4", "2x16x2x2"])
+    def test_large_instances_are_fast(self, rng, shape, limit):
+        is_local(random_local(rng))  # the LP layer's first call imports scipy
+        corr = random_local(rng, shape)
+        start = time.perf_counter()
+        verdict, _ = is_local(corr)
+        assert time.perf_counter() - start < limit
         assert verdict
-        rebuilt = np.zeros_like(corr.p)
-        for f, g, w in report.weights:
-            rebuilt += w * deterministic_correlation(f, g, corr.nA, corr.nB).p
-        assert np.max(np.abs(rebuilt - corr.p)) <= 1e-8
 
     def test_vertex_cap(self):
         corr = Correlation(np.full((8, 8, 8, 8), 1.0 / 64))
