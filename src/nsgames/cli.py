@@ -13,9 +13,9 @@ Python's shortest round-trip representation (at most 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import dilation as dilation_mod
 from . import games as games_mod
 from .channels import Povm, dump_povm, load_channel, load_povm
 from .correlations import is_local, is_no_signalling, load_correlation
-from .errors import NumericError, ParseError, PreconditionError, TooLargeError
+from .errors import ParseError, PreconditionError, TooLargeError
 from .linalg import max_abs
 
 EXIT_OK = 0
@@ -107,8 +107,8 @@ def cmd_sequence(args, out=None) -> int:
     if args.type == "qs":
         opts = dict(dim=args.d, seeds=args.seeds, max_sweeps=args.sweeps,
                     rng_seed=args.rng_seed)
-    entries, truncated = _sequence_parallel(cylinder, args.type, args.n_max,
-                                            args.threads, opts)
+    entries, truncated = games_mod.inner_value_sequence(cylinder, args.type, args.n_max,
+                                                        threads=args.threads, **opts)
     if args.format == "machine":
         for e in entries:
             if with_running:
@@ -136,39 +136,6 @@ def cmd_sequence(args, out=None) -> int:
     if truncated:
         _print(out, "(truncated: size cap reached)")
     return EXIT_OK
-
-
-def _sequence_parallel(cylinder, kind, n_max, threads, opts):
-    """Sequence entries computed independently per n, merged in order."""
-    if threads <= 1 or n_max <= 1:
-        return games_mod.inner_value_sequence(cylinder, kind, n_max, **opts)
-
-    def one(n):
-        try:
-            stage = games_mod.iterate(cylinder, n)
-            return n, games_mod.value(stage, kind, **opts).value
-        except TooLargeError:
-            return n, None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = dict(pool.map(one, range(1, n_max + 1)))
-    entries = []
-    truncated = False
-    running = None
-    previous = None
-    for n in range(1, n_max + 1):
-        raw = results[n]
-        if raw is None:
-            truncated = True
-            break
-        if kind != "qs" and previous is not None and raw > previous + games_mod.VALUE_TOL:
-            raise NumericError("iterate values must be non-increasing",
-                               residual=raw - previous)
-        previous = raw
-        normalized = raw ** (1.0 / n) if raw > 0.0 else 0.0
-        running = normalized if running is None else max(running, normalized)
-        entries.append(games_mod.SequenceEntry(n, raw, normalized, running))
-    return entries, truncated
 
 
 def _pvm_residuals(pvm: Povm) -> tuple[float, float]:
@@ -272,7 +239,20 @@ def cmd_check(args, out=None) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="nsgames",
         description="Game values, correlation checks, and POVM dilations.")
@@ -286,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--type", choices=("loc", "ns", "qs"), required=True,
                         help="value type: local, no-signalling, or quantum-spatial")
-    engine.add_argument("--d", type=int, default=2, help="see-saw local dimension")
-    engine.add_argument("--seeds", type=int, default=20, help="see-saw restarts")
-    engine.add_argument("--sweeps", type=int, default=200,
+    engine.add_argument("--d", type=_int_at_least(1), default=2,
+                        help="see-saw local dimension")
+    engine.add_argument("--seeds", type=_int_at_least(1), default=20, help="see-saw restarts")
+    engine.add_argument("--sweeps", type=_int_at_least(0), default=200,
                         help="see-saw sweeps per restart")
     engine.add_argument("--rng-seed", type=int, default=0, help="64-bit RNG seed")
 

@@ -183,15 +183,18 @@ def qs_probabilities(alice_effects: np.ndarray, bob_effects: np.ndarray,
                      psi: np.ndarray) -> np.ndarray:
     """Raw kernel: p(x,y,a,b) = <psi| E(a|x) (x) F(b|y) |psi> as a real tensor.
 
-    ``alice_effects``/``bob_effects`` are (inputs, outcomes, d, d) stacks; the
-    imaginary residue must stay below 1e-10 or Hermiticity broke upstream.
+    ``alice_effects``/``bob_effects`` are (..., inputs, outcomes, d, d) stacks
+    and ``psi`` is (..., d_a * d_b); leading axes index independent strategies
+    and lead the result.  The imaginary residue must stay below 1e-10 or
+    Hermiticity broke upstream.
     """
-    d_a = alice_effects.shape[2]
-    d_b = bob_effects.shape[2]
-    mat = np.asarray(psi, dtype=complex).reshape(d_a, d_b)
+    d_a = alice_effects.shape[-1]
+    d_b = bob_effects.shape[-1]
+    psi = np.asarray(psi, dtype=complex)
+    mat = psi.reshape(*psi.shape[:-1], d_a, d_b)
     # <psi| M (x) N |psi> = sum_{jl} N_jl (Psi* M Psi)_jl  with Psi* = conj-transpose
-    reduced = np.einsum("ij,xaik,kl->xajl", mat.conj(), alice_effects, mat)
-    p = np.einsum("xajl,ybjl->xyab", reduced, bob_effects)
+    reduced = np.einsum("...ij,...xaik,...kl->...xajl", mat.conj(), alice_effects, mat)
+    p = np.einsum("...xajl,...ybjl->...xyab", reduced, bob_effects)
     residue = float(np.max(np.abs(p.imag), initial=0.0))
     if residue > IMAG_TOL:
         raise ValidationError("real probabilities", residual=residue)

@@ -11,6 +11,8 @@ correlation module.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,33 +281,42 @@ def asymptotic_sequence(game: FiniteGame, kind: str, n_max: int,
     return inner_value_sequence(embed(game), kind, n_max, **opts)
 
 
-def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int,
+def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int, threads: int = 1,
                          **opts) -> tuple[list[SequenceEntry], bool]:
     """Values of the cylinder-game iterates with their n-th roots.
 
     The raw iterate values are non-increasing in n (each iterate's winning set
     contains the next); this is verified for the exact engines and a violation
-    beyond 1e-9 raises, since it can only come from an engine defect.
+    beyond 1e-9 raises, since it can only come from an engine defect.  Up to
+    ``threads`` stages are computed at once, started in order of n; the first
+    stage over a size cap ends the sequence, and the entries do not depend on
+    ``threads``.
     """
+    def stage_value(n: int) -> float:
+        return value(iterate(cylinder, n), kind, **opts).value
+
     entries: list[SequenceEntry] = []
     truncated = False
     running = None
     previous = None
-    for n in range(1, n_max + 1):
-        try:
-            stage = iterate(cylinder, n)
-            report = value(stage, kind, **opts)
-        except TooLargeError:
-            truncated = True
-            break
-        raw = report.value
-        if kind != "qs" and previous is not None and raw > previous + VALUE_TOL:
-            raise NumericError("iterate values must be non-increasing",
-                               residual=raw - previous)
-        previous = raw
-        normalized = raw ** (1.0 / n) if raw > 0.0 else 0.0
-        running = normalized if running is None else max(running, normalized)
-        entries.append(SequenceEntry(n, raw, normalized, running))
+    window = max(1, threads)
+    with ThreadPoolExecutor(max_workers=window) as pool:
+        ahead = deque(pool.submit(stage_value, n) for n in range(1, min(window, n_max) + 1))
+        for n in range(1, n_max + 1):
+            try:
+                raw = ahead.popleft().result()
+            except TooLargeError:
+                truncated = True
+                break
+            if n + window <= n_max:
+                ahead.append(pool.submit(stage_value, n + window))
+            if kind != "qs" and previous is not None and raw > previous + VALUE_TOL:
+                raise NumericError("iterate values must be non-increasing",
+                                   residual=raw - previous)
+            previous = raw
+            normalized = raw ** (1.0 / n) if raw > 0.0 else 0.0
+            running = normalized if running is None else max(running, normalized)
+            entries.append(SequenceEntry(n, raw, normalized, running))
     return entries, truncated
 
 

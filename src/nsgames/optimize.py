@@ -20,6 +20,9 @@ Three engines live here:
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state, returning a certified quantum-spatial
   lower bound (the certificate is an explicit finite-dimensional strategy).
+  One sweep is batched over all running seeds and all inputs: each sub-step
+  is a few stacked LAPACK calls (``eigh``, and ``qr`` for the complement
+  bases of the greedy k-outcome step) rather than one call per matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from . import rand, strategies
 from .channels import FiniteChannel, Povm
 from .correlations import Correlation, is_no_signalling, qs_probabilities
 from .errors import NumericError, TooLargeError, ValidationError
-from .linalg import hermitize
 from .simplex import LinearProgram, simplex_solve
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -203,80 +205,76 @@ class SeesawState:
         return f"SeesawState(d={self.dimension}, value={self.value:.6f})"
 
 
+def _hermitian_part(ops: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 over the last two axes of a stack of square matrices."""
+    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
+
+
 def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Maximize sum_b tr(R_b F_b) over POVMs F.
+    """Maximize sum_b tr(R_b F_b) over POVMs F, for one or a stack of instances.
 
-    Two outcomes are solved exactly: F_0 is the spectral projection of
-    R_0 - R_1 onto eigenvalues > 0 (eigenvalues within 1e-12 of zero count as
-    positive), F_1 its complement.  More outcomes use a greedy rank-one
-    assignment of eigenvectors, keeping the input POVM whenever the greedy
-    result would decrease the objective.
+    ``payoff_ops`` and ``current`` are (..., k, d, d); every leading index is
+    an independent instance, solved by the same batched LAPACK calls.  Two
+    outcomes are solved exactly: F_0 is the spectral projection of R_0 - R_1
+    onto eigenvalues > 0 (eigenvalues within 1e-12 of zero count as positive),
+    F_1 its complement.  More outcomes use a greedy rank-one assignment of
+    eigenvectors: d rounds, each giving the top eigenvector of R_b restricted
+    to the still unassigned subspace to the b with the largest top eigenvalue
+    (ties within 1e-15 to the lowest b), whose orthogonal complement, from a
+    complete QR factorization, is the next round's subspace.  An instance
+    keeps its input POVM whenever the greedy result would decrease the
+    objective.
     """
-    k, d = payoff_ops.shape[0], payoff_ops.shape[1]
+    payoff_ops = np.asarray(payoff_ops, dtype=complex)
+    *batch, k, d, _ = payoff_ops.shape
     if k == 1:
-        return np.eye(d, dtype=complex)[None, :, :]
+        return np.broadcast_to(np.eye(d, dtype=complex), (*batch, 1, d, d)).copy()
     if k == 2:
-        vals, vecs = np.linalg.eigh(hermitize(payoff_ops[0] - payoff_ops[1]))
-        selected = vecs[:, vals >= -1e-12]
-        f0 = selected @ selected.conj().T
-        return np.stack([f0, np.eye(d) - f0]).astype(complex)
+        vals, vecs = np.linalg.eigh(_hermitian_part(payoff_ops[..., 0, :, :]
+                                                    - payoff_ops[..., 1, :, :]))
+        selected = vecs * (vals >= -1e-12)[..., None, :]
+        f0 = selected @ selected.conj().swapaxes(-1, -2)
+        return np.stack([f0, np.eye(d) - f0], axis=-3).astype(complex)
 
-    basis = np.eye(d, dtype=complex)
-    assignments: list[list[np.ndarray]] = [[] for _ in range(k)]
+    ops = payoff_ops.reshape(-1, k, d, d)
+    current = np.asarray(current).reshape(ops.shape)
+    rows = np.arange(ops.shape[0])
+    basis = np.broadcast_to(np.eye(d, dtype=complex), (rows.size, d, d))
+    candidate = np.zeros_like(ops)
     for _ in range(d):
-        r = basis.shape[1]
-        best = None
-        for b in range(k):
-            reduced = hermitize(basis.conj().T @ payoff_ops[b] @ basis)
-            vals, vecs = np.linalg.eigh(reduced)
-            if best is None or vals[-1] > best[0] + 1e-15:
-                best = (float(vals[-1]), b, vecs[:, -1])
-        _, b_star, coeffs = best
-        vector = basis @ coeffs
-        assignments[b_star].append(vector)
-        if r > 1:
-            rotation = _complement_basis(coeffs)
-            basis = basis @ rotation
-        else:
-            basis = np.zeros((d, 0), dtype=complex)
-    candidate = np.zeros((k, d, d), dtype=complex)
-    for b in range(k):
-        for vector in assignments[b]:
-            candidate[b] += np.outer(vector, vector.conj())
-    gain_new = float(np.einsum("bij,bji->", payoff_ops, candidate).real)
-    gain_old = float(np.einsum("bij,bji->", payoff_ops, current).real)
-    return candidate if gain_new >= gain_old - 1e-15 else current
-
-
-def _complement_basis(unit: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of a unit vector."""
-    r = unit.shape[0]
-    column = unit.reshape(r, 1) / np.linalg.norm(unit)
-    from .linalg import extend_isometry_to_unitary
-
-    return extend_isometry_to_unitary(column)[:, 1:]
+        reduced = basis.conj().swapaxes(-1, -2)[:, None] @ ops @ basis[:, None]
+        vals, vecs = np.linalg.eigh(_hermitian_part(reduced))
+        best_b = np.zeros(rows.size, dtype=int)
+        best = vals[:, 0, -1]
+        for b in range(1, k):
+            better = vals[:, b, -1] > best + 1e-15
+            best_b[better] = b
+            best = np.where(better, vals[:, b, -1], best)
+        coeffs = vecs[rows, best_b, :, -1]
+        vector = (basis @ coeffs[..., None])[..., 0]
+        candidate[rows, best_b] += vector[:, :, None] * vector.conj()[:, None, :]
+        if basis.shape[-1] > 1:
+            basis = basis @ np.linalg.qr(coeffs[..., None], mode="complete")[0][..., 1:]
+    gain_new = np.einsum("rbij,rbji->r", ops, candidate).real
+    gain_old = np.einsum("rbij,rbji->r", ops, current).real
+    keep = (gain_new >= gain_old - 1e-15)[:, None, None, None]
+    return np.where(keep, candidate, current).reshape(*batch, k, d, d)
 
 
 def seesaw_state_update(operator: np.ndarray) -> np.ndarray:
     """Top unit eigenvector of a Hermitian operator, canonically phased.
 
-    Among eigenvalues within 1e-12 of the maximum the lowest eigh index is
-    taken, and the phase is fixed by making the largest-magnitude component
-    real and positive; for the identity this yields the first basis vector.
+    ``operator`` is (..., n, n), one instance per leading index.  Among
+    eigenvalues within 1e-12 of the maximum the lowest eigh index is taken,
+    and the phase is fixed by making the largest-magnitude component real and
+    positive; for the identity this yields the first basis vector.
     """
-    vals, vecs = np.linalg.eigh(hermitize(operator))
-    idx = int(np.argmax(vals >= vals[-1] - 1e-12))
-    vector = vecs[:, idx]
-    pivot = int(np.argmax(np.abs(vector)))
-    phase = vector[pivot] / abs(vector[pivot])
-    vector = vector / phase
-    return vector / np.linalg.norm(vector)
-
-
-def _strategy_value(weight: np.ndarray, alice: np.ndarray, bob: np.ndarray,
-                    psi: np.ndarray) -> float:
-    probs = qs_probabilities(alice, bob, psi)
-    return float(np.sum(weight * probs))
+    vals, vecs = np.linalg.eigh(_hermitian_part(np.asarray(operator, dtype=complex)))
+    idx = np.argmax(vals >= vals[..., -1:] - 1e-12, axis=-1)
+    vector = np.take_along_axis(vecs, idx[..., None, None], axis=-1)[..., 0]
+    pivot = np.take_along_axis(vector, np.argmax(np.abs(vector), axis=-1)[..., None], axis=-1)
+    vector = vector / (pivot / np.abs(pivot))
+    return vector / np.linalg.norm(vector, axis=-1, keepdims=True)
 
 
 def _deterministic_effects(strategy: tuple[int, ...], outcomes: int, dim: int) -> np.ndarray:
@@ -324,48 +322,54 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
     """Best see-saw strategy over all seeds; a lower bound on the qs value.
 
     Each sweep updates Alice's POVMs, then Bob's, then the state, every
-    sub-step being an exact or non-decreasing ascent step; a seed stops when
-    the relative gain over one sweep falls below 1e-10.  Ties across seeds
-    break to the lowest seed index.
+    sub-step being an exact or non-decreasing ascent step.  A sweep is batched
+    over the seeds still running and over the inputs: each sub-step is one
+    stacked call of ``seesaw_measurement_update`` or ``seesaw_state_update``
+    (whose greedy k-outcome step takes its complement bases from QR).  A seed
+    stops when the relative gain over one sweep falls below 1e-10 and keeps its
+    own history.  Ties across seeds break to the lowest seed index.
     """
     if dim < 1:
         raise ValidationError("dimension >= 1", residual=float(dim))
+    if seeds < 1:
+        raise ValidationError("seeds >= 1", residual=float(seeds))
+    if max_sweeps < 0:
+        raise ValidationError("max_sweeps >= 0", residual=float(max_sweeps))
     weight = game.dist[:, :, None, None] * game.win.astype(float)
-    best: tuple[float, int, tuple, tuple[float, ...]] | None = None
-    histories: list[tuple[float, ...]] = []
-    for index, (alice, bob, psi) in enumerate(_seed_strategies(game, dim, seeds, rng_seed)):
-        trace = [_strategy_value(weight, alice, bob, psi)]
-        for _ in range(max_sweeps):
-            mat = psi.reshape(dim, dim)
-            reduced_a = np.einsum("ij,xaik,kl->xajl", mat.conj(), alice, mat)
-            bob_ops = np.einsum("xyab,xajl->ybjl", weight, reduced_a).conj()
-            bob = np.stack([
-                seesaw_measurement_update(
-                    np.stack([hermitize(bob_ops[y, b]) for b in range(game.nB)]), bob[y])
-                for y in range(game.nY)
-            ])
-            reduced_b = np.einsum("ij,ybjl,kl->ybik", mat.conj(), bob, mat)
-            alice_ops = np.einsum("xyab,ybik->xaik", weight, reduced_b).conj()
-            alice = np.stack([
-                seesaw_measurement_update(
-                    np.stack([hermitize(alice_ops[x, a]) for a in range(game.nA)]), alice[x])
-                for x in range(game.nX)
-            ])
-            operator = np.einsum("xyab,xaij,ybkl->ikjl", weight, alice, bob)
-            psi = seesaw_state_update(operator.reshape(dim * dim, dim * dim))
-            trace.append(_strategy_value(weight, alice, bob, psi))
-            if trace[-1] - trace[-2] < 1e-10 * max(1.0, abs(trace[-2])):
-                break
-        histories.append(tuple(trace))
-        if best is None or trace[-1] > best[0]:
-            best = (trace[-1], index, (alice, bob, psi), tuple(trace))
-    value, _, (alice, bob, psi), trace = best
+    alice, bob, psi = (np.stack(part) for part in
+                       zip(*_seed_strategies(game, dim, seeds, rng_seed)))
+
+    def values(a, b, p):
+        return (weight * qs_probabilities(a, b, p)).reshape(len(p), -1).sum(axis=1)
+
+    histories = [[v] for v in values(alice, bob, psi).tolist()]
+    active = np.arange(seeds)
+    for _ in range(max_sweeps):
+        if active.size == 0:
+            break
+        a, b, mat = alice[active], bob[active], psi[active].reshape(-1, dim, dim)
+        reduced_a = np.einsum("sij,sxaik,skl->sxajl", mat.conj(), a, mat)
+        b = seesaw_measurement_update(
+            _hermitian_part(np.einsum("xyab,sxajl->sybjl", weight, reduced_a).conj()), b)
+        reduced_b = np.einsum("sij,sybjl,skl->sybik", mat.conj(), b, mat)
+        a = seesaw_measurement_update(
+            _hermitian_part(np.einsum("xyab,sybik->sxaik", weight, reduced_b).conj()), a)
+        operator = np.einsum("xyab,sxaij,sybkl->sikjl", weight, a, b)
+        p = seesaw_state_update(operator.reshape(-1, dim * dim, dim * dim))
+        alice[active], bob[active], psi[active] = a, b, p
+        running = []
+        for s, v in zip(active.tolist(), values(a, b, p).tolist()):
+            histories[s].append(v)
+            if v - histories[s][-2] >= 1e-10 * max(1.0, abs(histories[s][-2])):
+                running.append(s)
+        active = np.array(running, dtype=int)
+    best = int(np.argmax([h[-1] for h in histories]))
     return SeesawState(
         dimension=dim,
-        alice=FiniteChannel([Povm(alice[x]) for x in range(game.nX)]),
-        bob=FiniteChannel([Povm(bob[y]) for y in range(game.nY)]),
-        psi=psi,
-        value=value,
-        history=trace,
-        all_histories=tuple(histories),
+        alice=FiniteChannel([Povm(effects) for effects in alice[best]]),
+        bob=FiniteChannel([Povm(effects) for effects in bob[best]]),
+        psi=psi[best],
+        value=histories[best][-1],
+        history=histories[best],
+        all_histories=tuple(tuple(h) for h in histories),
     )

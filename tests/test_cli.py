@@ -82,6 +82,14 @@ class TestValueCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["value", str(path), "--type", "loc"]) == 3
 
+    @pytest.mark.parametrize("flag, text", [("--seeds", "0"), ("--seeds", "-2"), ("--d", "0"),
+                                            ("--sweeps", "-1")])
+    def test_bad_seesaw_flag_exit_2(self, chsh_file, capsys, flag, text):
+        with pytest.raises(SystemExit) as err:
+            main(["value", chsh_file, "--type", "qs", flag, text])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, chsh_file):
         with pytest.raises(SystemExit) as err:
             main(["value", chsh_file, "--type", "loc", "--bogus"])
@@ -249,6 +257,16 @@ class TestCheckCommand:
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("check local fail")
         assert float(line.split()[3]) == pytest.approx(0.125, abs=1e-9)
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        path = tmp_path / "pr.corr"
+        path.write_text(dump_correlation(pr_box()))
+        assert main(["check", str(path), "--test", "local", "--tol", "0.5",
+                     "--format", "machine"]) == 0
+        assert capsys.readouterr().out.startswith("check local pass")
+        assert main(["check", str(path), "--test", "local", "--format", "machine"]) == 0
+        assert capsys.readouterr().out.startswith("check local fail")
+        assert build_parser() is build_parser()
 
     def test_product_local_pass_with_weights(self, tmp_path, capsys, rng):
         from nsgames import from_local

@@ -27,7 +27,7 @@ from nsgames import (
     random_game,
     value,
 )
-from nsgames import rand
+from nsgames import games, rand
 
 from conftest import pr_box
 
@@ -256,6 +256,22 @@ class TestSequences:
     def test_n_max_zero(self):
         entries, truncated = asymptotic_sequence(chsh(), "loc", 0)
         assert entries == [] and not truncated
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_stops_at_first_cap(self, monkeypatch, threads):
+        started = []
+        exact = games.value
+
+        def capped(stage, kind, **opts):  # the chsh stage at n has nX = 2^n
+            started.append(stage.nX)
+            if stage.nX > 4:
+                raise TooLargeError("over cap")
+            return exact(stage, kind, **opts)
+
+        monkeypatch.setattr(games, "value", capped)
+        entries, truncated = inner_value_sequence(embed(chsh()), "loc", 6, threads=threads)
+        assert truncated and [e.value for e in entries] == [0.75, 0.625]
+        assert len(started) <= 2 + threads
 
 
 class TestValidationAndFormat:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nsgames import (
     TooLargeError,
+    ValidationError,
     chsh,
     local_value,
     never_win,
@@ -229,6 +230,69 @@ class TestMeasurementUpdate:
         assert max_abs(total - np.eye(dim)) <= 1e-9
 
 
+def _random_hermitian(gen, shape, dim):
+    m = gen.standard_normal((*shape, dim, dim)) + 1j * gen.standard_normal((*shape, dim, dim))
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _objective(ops, povm):
+    return np.einsum("...bij,...bji->...", ops, povm).real
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stack_matches_rows(self, k):
+        gen = rand.generator(5)
+        dim = 3
+        ops = _random_hermitian(gen, (2, 3, k), dim)
+        current = np.stack([np.stack([rand.random_povm_effects(dim, k, gen) for _ in range(3)])
+                            for _ in range(2)])
+        if k == 3:
+            # Row (0, 0): the best projective POVM in an eigenbasis of some R_b
+            # beats the greedy result, so the guard keeps it; row (0, 1) takes
+            # the greedy result.
+            projective = []
+            for r in ops[0, 0]:
+                kets = np.linalg.eigh(r)[1].T
+                for assign in itertools.product(range(k), repeat=dim):
+                    povm = np.zeros((k, dim, dim), complex)
+                    for ket, b in zip(kets, assign):
+                        povm[b] += np.outer(ket, ket.conj())
+                    projective.append(povm)
+            best = max(projective, key=lambda povm: _objective(ops[0, 0], povm))
+            current[0, 0] = best
+            trivial = np.stack([np.eye(dim)] + [np.zeros((dim, dim))] * (k - 1)).astype(complex)
+            assert _objective(ops[0, 0], seesaw_measurement_update(ops[0, 0], trivial)) \
+                < _objective(ops[0, 0], best) - 1e-3
+        stacked = seesaw_measurement_update(ops, current)
+        assert stacked.shape == ops.shape
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.array_equal(stacked[i, j], seesaw_measurement_update(ops[i, j], current[i, j]))
+        if k == 3:
+            assert np.array_equal(stacked[0, 0], current[0, 0])
+            assert not np.allclose(stacked[0, 1], current[0, 1])
+            assert _objective(ops[0, 1], stacked[0, 1]) > _objective(ops[0, 1], current[0, 1])
+
+    def test_two_outcome_optimum(self):
+        gen = rand.generator(1)
+        for dim in (1, 2, 4):
+            ops = _random_hermitian(gen, (6, 2), dim)
+            povm = seesaw_measurement_update(ops, np.zeros_like(ops))
+            vals = np.linalg.eigvalsh(ops[:, 0] - ops[:, 1])
+            optimum = np.trace(ops[:, 1], axis1=-2, axis2=-1).real + np.clip(vals, 0, None).sum(-1)
+            assert np.allclose(_objective(ops, povm), optimum, rtol=0, atol=1e-12)
+            assert max_abs(povm.sum(axis=1) - np.eye(dim)) <= 1e-12
+
+    def test_state_stack_matches_rows(self):
+        gen = rand.generator(2)
+        operators = _random_hermitian(gen, (5,), 4)
+        operators[1] = np.eye(4)
+        stacked = seesaw_state_update(operators)
+        for operator, psi in zip(operators, stacked):
+            assert np.array_equal(psi, seesaw_state_update(operator))
+        assert np.allclose(stacked[1], [1, 0, 0, 0])
+
+
 class TestStateUpdate:
     def test_diagonal(self):
         psi = seesaw_state_update(np.diag([3.0, 1.0, 1.0, 1.0]).astype(complex))
@@ -277,9 +341,10 @@ class TestSeesaw:
         assert state.value == 0.0
 
     def test_monotone_sweeps(self, rng):
-        for _ in range(5):
-            game = random_game((2, 2, 2, 2), rng)
-            state = qs_seesaw(game, dim=2, seeds=6, max_sweeps=40, rng_seed=11)
+        cases = [(random_game((2, 2, 2, 2), rng), 2) for _ in range(5)]
+        cases.append((random_game((3, 3, 3, 3), rng, win_probability=0.25), 3))
+        for game, dim in cases:
+            state = qs_seesaw(game, dim=dim, seeds=6, max_sweeps=40, rng_seed=11)
             for trace in state.all_histories:
                 diffs = np.diff(np.array(trace))
                 assert diffs.min(initial=0.0) >= -1e-12
@@ -298,6 +363,22 @@ class TestSeesaw:
         state = qs_seesaw(game, dim=2, seeds=8, max_sweeps=60, rng_seed=1)
         corr = from_qs(state.alice, state.bob, state.psi)
         assert payoff(game, corr) == pytest.approx(state.value, abs=1e-9)
+
+    def test_pinned_three_outcome_game(self):
+        # Sweep counts and values of the per-seed see-saw this batched one replaced.
+        game = random_game((3, 3, 3, 3), rand.generator(7), win_probability=0.25)
+        state = qs_seesaw(game, dim=3, seeds=6, max_sweeps=200, rng_seed=0)
+        assert [len(h) - 1 for h in state.all_histories] == [1, 1, 2, 4, 2, 2]
+        finals = [h[-1] for h in state.all_histories]
+        assert np.allclose(finals, [0.8185688959945294, 0.8011945488469543, 0.8011945488469543,
+                                    0.8185688959945294, 0.7369338542277886, 0.7369338542277883],
+                           rtol=0, atol=1e-12)
+        assert state.value == pytest.approx(0.8185688959945294, abs=1e-12)
+
+    @pytest.mark.parametrize("seeds, max_sweeps", [(0, 10), (-2, 10), (4, -1)])
+    def test_invalid_budget_raises(self, seeds, max_sweeps):
+        with pytest.raises(ValidationError):
+            qs_seesaw(chsh(), dim=2, seeds=seeds, max_sweeps=max_sweeps)
 
     def test_product_game_seesaw_runs(self, rng):
         game = product_game(chsh(), all_win(1, 1, 2, 2))
