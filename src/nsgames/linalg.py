@@ -25,11 +25,12 @@ def max_abs(matrix: np.ndarray) -> float:
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M*)/2 of a square matrix."""
+    """Return the Hermitian part (M + M*)/2 of a square matrix, or of each
+    matrix in a (..., n, n) stack."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValidationError("square matrix", detail=f"shape {matrix.shape}")
-    return (matrix + matrix.conj().T) / 2.0
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

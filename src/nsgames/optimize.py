@@ -36,6 +36,7 @@ from . import rand, strategies
 from .channels import FiniteChannel, Povm
 from .correlations import Correlation, is_no_signalling, qs_probabilities
 from .errors import NumericError, TooLargeError, ValidationError
+from .linalg import hermitize
 from .simplex import LinearProgram, simplex_solve
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -205,11 +206,6 @@ class SeesawState:
         return f"SeesawState(d={self.dimension}, value={self.value:.6f})"
 
 
-def _hermitian_part(ops: np.ndarray) -> np.ndarray:
-    """(M + M*)/2 over the last two axes of a stack of square matrices."""
-    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
-
-
 def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Maximize sum_b tr(R_b F_b) over POVMs F, for one or a stack of instances.
 
@@ -230,11 +226,10 @@ def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np
     if k == 1:
         return np.broadcast_to(np.eye(d, dtype=complex), (*batch, 1, d, d)).copy()
     if k == 2:
-        vals, vecs = np.linalg.eigh(_hermitian_part(payoff_ops[..., 0, :, :]
-                                                    - payoff_ops[..., 1, :, :]))
+        vals, vecs = np.linalg.eigh(hermitize(payoff_ops[..., 0, :, :] - payoff_ops[..., 1, :, :]))
         selected = vecs * (vals >= -1e-12)[..., None, :]
         f0 = selected @ selected.conj().swapaxes(-1, -2)
-        return np.stack([f0, np.eye(d) - f0], axis=-3).astype(complex)
+        return np.stack([f0, np.eye(d) - f0], axis=-3)
 
     ops = payoff_ops.reshape(-1, k, d, d)
     current = np.asarray(current).reshape(ops.shape)
@@ -243,7 +238,7 @@ def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np
     candidate = np.zeros_like(ops)
     for _ in range(d):
         reduced = basis.conj().swapaxes(-1, -2)[:, None] @ ops @ basis[:, None]
-        vals, vecs = np.linalg.eigh(_hermitian_part(reduced))
+        vals, vecs = np.linalg.eigh(hermitize(reduced))
         best_b = np.zeros(rows.size, dtype=int)
         best = vals[:, 0, -1]
         for b in range(1, k):
@@ -269,7 +264,7 @@ def seesaw_state_update(operator: np.ndarray) -> np.ndarray:
     and the phase is fixed by making the largest-magnitude component real and
     positive; for the identity this yields the first basis vector.
     """
-    vals, vecs = np.linalg.eigh(_hermitian_part(np.asarray(operator, dtype=complex)))
+    vals, vecs = np.linalg.eigh(hermitize(operator))
     idx = np.argmax(vals >= vals[..., -1:] - 1e-12, axis=-1)
     vector = np.take_along_axis(vecs, idx[..., None, None], axis=-1)[..., 0]
     pivot = np.take_along_axis(vector, np.argmax(np.abs(vector), axis=-1)[..., None], axis=-1)
@@ -350,10 +345,10 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
         a, b, mat = alice[active], bob[active], psi[active].reshape(-1, dim, dim)
         reduced_a = np.einsum("sij,sxaik,skl->sxajl", mat.conj(), a, mat)
         b = seesaw_measurement_update(
-            _hermitian_part(np.einsum("xyab,sxajl->sybjl", weight, reduced_a).conj()), b)
+            hermitize(np.einsum("xyab,sxajl->sybjl", weight, reduced_a).conj()), b)
         reduced_b = np.einsum("sij,sybjl,skl->sybik", mat.conj(), b, mat)
         a = seesaw_measurement_update(
-            _hermitian_part(np.einsum("xyab,sybik->sxaik", weight, reduced_b).conj()), a)
+            hermitize(np.einsum("xyab,sybik->sxaik", weight, reduced_b).conj()), a)
         operator = np.einsum("xyab,sxaij,sybkl->sikjl", weight, a, b)
         p = seesaw_state_update(operator.reshape(-1, dim * dim, dim * dim))
         alice[active], bob[active], psi[active] = a, b, p

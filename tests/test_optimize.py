@@ -267,7 +267,8 @@ class TestBatchedStep:
         stacked = seesaw_measurement_update(ops, current)
         assert stacked.shape == ops.shape
         for i, j in itertools.product(range(2), range(3)):
-            assert np.array_equal(stacked[i, j], seesaw_measurement_update(ops[i, j], current[i, j]))
+            row = seesaw_measurement_update(ops[i, j], current[i, j])
+            assert np.array_equal(stacked[i, j], row)
         if k == 3:
             assert np.array_equal(stacked[0, 0], current[0, 0])
             assert not np.allclose(stacked[0, 1], current[0, 1])
