@@ -307,7 +307,7 @@ def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int, threads:
                 raw = ahead.popleft().result()
             except TooLargeError:
                 truncated = True
-                break
+                break  # stages already started past the cap finish unread
             if n + window <= n_max:
                 ahead.append(pool.submit(stage_value, n + window))
             if kind != "qs" and previous is not None and raw > previous + VALUE_TOL:
