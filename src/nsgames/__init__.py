@@ -69,6 +69,7 @@ from .games import (
     payoff,
     product_game,
     random_game,
+    relabelings,
     value,
 )
 from .linalg import (

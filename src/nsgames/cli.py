@@ -79,7 +79,7 @@ def cmd_value(args, out=None) -> int:
         f, g = report.certificate
         _print(out, f"certificate: deterministic strategies f={f} g={g}")
     elif report.kind == "ns":
-        _print(out, "certificate: optimal no-signalling correlation (LP vertex)")
+        _print(out, "certificate: optimal no-signalling correlation")
     else:
         _print(out, f"certificate: see-saw strategy on C^{args.d} x C^{args.d}")
     return EXIT_OK
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "machine"), default="table",
                         help="output style (default: table)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    common.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
                         help="worker cap for parallel stages")
     sub = parser.add_subparsers(dest="command", required=True)
 

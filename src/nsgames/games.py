@@ -7,10 +7,18 @@ iterate intersects n backward-shifted copies of the winning set and is again
 a finite game, over tuple alphabets of width w + n - 1.  Tuple alphabets are
 always encoded row-major (first coordinate most significant), matching the
 correlation module.
+
+A relabeling permutes the questions of each party and each party's answers
+per question, fixing ``win`` and ``dist``.  ``embed`` and ``memory_game``
+find the base game's relabelings; ``iterate`` applies each to one coordinate
+at a time, which fixes the iterate, for the engines in ``optimize`` to reduce
+by.  Other games (built directly, loaded, or products) carry none.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +32,9 @@ from .errors import NumericError, ParseError, TooLargeError, ValidationError
 DIST_TOL = 1e-12
 VALUE_TOL = 1e-9
 PREDICATE_CAP = 10 ** 9
+# Candidates nX! nY! (nA!)^nX (nB!)^nY the relabeling search tries; above it
+# the search finds none, which leaves the engines unreduced, never wrong.
+RELABELING_CAP = 10 ** 4
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -33,6 +44,8 @@ class FiniteGame:
     win: np.ndarray
     dist: np.ndarray
     name: str = field(default="", compare=False)
+    # (px, py, sa, sb) index arrays that fix win and dist; set by ``iterate``.
+    relabelings: tuple = field(default=(), init=False, compare=False)
 
     def __init__(self, win, dist, name: str = ""):
         win = np.array(win, dtype=bool)
@@ -93,6 +106,8 @@ class CylinderGame:
     win: np.ndarray
     base_dist: np.ndarray
     name: str = field(default="", compare=False)
+    # The base game's relabelings; set by ``embed`` and ``memory_game``.
+    relabelings: tuple = field(default=(), init=False, compare=False)
 
     def __init__(self, window, base_shape, win, base_dist, name: str = ""):
         window = int(window)
@@ -197,9 +212,42 @@ def product_game(g1: FiniteGame, g2: FiniteGame) -> FiniteGame:
     return FiniteGame(win, dist, name=name)
 
 
+def relabelings(game: FiniteGame) -> tuple:
+    """Every relabeling (px, py, sa, sb) that fixes ``win`` and ``dist`` exactly.
+
+    It maps (x, y, a, b) to (px[x], py[y], sa[x, a], sb[y, b]); the identity
+    comes first.  The search tries every candidate at once; above
+    ``RELABELING_CAP`` candidates it returns ().  Swapping the parties is not
+    considered.
+    """
+    nX, nY, nA, nB = game.shape
+    f = math.factorial
+    if f(nX) * f(nY) * f(nA) ** nX * f(nB) ** nY > RELABELING_CAP:
+        return ()
+
+    def perms(n: int, copies: int) -> np.ndarray:  # (count, copies, n)
+        one = np.array(list(itertools.permutations(range(n))))
+        return one[np.indices((len(one),) * copies).reshape(copies, -1).T]
+
+    px, py, sa, sb = perms(nX, 1), perms(nY, 1), perms(nA, nX), perms(nB, nY)
+    X = px.reshape(-1, 1, 1, 1, nX, 1, 1, 1)  # candidate axes, then (x, y, a, b)
+    Y = py.reshape(1, -1, 1, 1, 1, nY, 1, 1)
+    A = sa.reshape(1, 1, -1, 1, nX, 1, nA, 1)
+    B = sb.reshape(1, 1, 1, -1, 1, nY, 1, nB)
+    fixed = (game.win[X, Y, A, B] == game.win).all(axis=(4, 5, 6, 7))
+    fixed &= (game.dist[X[..., 0, 0], Y[..., 0, 0]] == game.dist).all(axis=(4, 5))
+    return tuple((px[i, 0], py[j, 0], sa[k], sb[m]) for i, j, k, m in np.argwhere(fixed))
+
+
+def _carrying(game, group: tuple):
+    object.__setattr__(game, "relabelings", group)
+    return game
+
+
 def embed(game: FiniteGame) -> CylinderGame:
     """The window-1 cylinder game whose iterates are the parallel repetitions."""
-    return CylinderGame(1, game.shape, game.win, game.dist, name=game.name)
+    return _carrying(CylinderGame(1, game.shape, game.win, game.dist, name=game.name),
+                     relabelings(game))
 
 
 def memory_game(game: FiniteGame) -> CylinderGame:
@@ -214,7 +262,8 @@ def memory_game(game: FiniteGame) -> CylinderGame:
         game.win.reshape(1, nX, 1, nY, 1, nA, 1, nB),
     ).reshape(nX * nX, nY * nY, nA * nA, nB * nB)
     name = f"memory({game.name})" if game.name else ""
-    return CylinderGame(2, game.shape, win2, game.dist, name=name)
+    return _carrying(CylinderGame(2, game.shape, win2, game.dist, name=name),
+                     relabelings(game))
 
 
 def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
@@ -253,11 +302,31 @@ def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
         shape += [nY if j == i else 1 for j in range(width)]
         dist = dist * cylinder.base_dist.reshape(shape)
     name = f"{cylinder.name}^({n})" if cylinder.name else ""
-    return FiniteGame(
+    game = FiniteGame(
         result.reshape(nX ** width, nY ** width, nA ** width, nB ** width),
         dist.reshape(nX ** width, nY ** width),
         name=name,
     )
+    return _carrying(game, _lift(cylinder.relabelings, cylinder.base_shape, width))
+
+
+def _lift(group: tuple, base_shape: tuple[int, ...], width: int) -> tuple:
+    """Each base relabeling applied to one coordinate of the width-``width``
+    tuple alphabets, as (px, py, sa, sb) index arrays of the iterate; all
+    relabelings at coordinate 0 come first, then those at coordinate 1, ...
+    The identity, first in ``group``, is left out."""
+    if len(group) < 2:
+        return ()
+    px, py, sa, sb = (np.array(part) for part in zip(*group[1:]))
+    # every coordinate of every tuple over each base alphabet, (tuples, width)
+    places = [n ** np.arange(width - 1, -1, -1) for n in base_shape]
+    digits = dx, dy, da, db = [np.arange(n ** width)[:, None] // p % n
+                               for n, p in zip(base_shape, places)]
+    images = (px[:, dx], py[:, dy], sa[:, dx[:, None], da], sb[:, dy[:, None], db])
+    lifted = [np.moveaxis(np.arange(n ** width)[:, None] + (image - d) * p, -1, 0)
+              .reshape(width * len(image), *image.shape[1:-1])
+              for n, p, d, image in zip(base_shape, places, digits, images)]
+    return tuple(zip(*lifted))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,12 @@
 Three engines live here:
 
 * ``ns_value`` -- exact supremum over the no-signalling polytope, as a linear
-  program over the correlation entries (nonnegativity, per-pair normalization,
-  and the marginal equalities).  The constraints are built as one sparse
-  matrix and solved by HiGHS through ``simplex.simplex_solve``.  The result
-  is certified from both sides, by the primal correlation and by a dual
-  bound.  ``NS_LP_CAP`` (1e8 rows x columns) caps the solve time: larger LPs
-  raise ``TooLargeError`` before anything is built.
+  program over the correlation entries and marginal variables, as one sparse
+  matrix.  HiGHS solves it through ``simplex.simplex_solve`` over the orbits
+  of the game's relabelings (see ``games``); the answer is lifted back and
+  certified on the full LP from both sides, by the primal correlation and by
+  a dual bound.  ``NS_LP_CAP`` (1e8) caps the solve time: larger LPs raise
+  ``TooLargeError`` before anything is built.
 * ``local_value`` -- exact maximum over deterministic strategy pairs.  Alice's
   maps are enumerated (cap 1e8) by the kernel in ``strategies``: a
   meet-in-the-middle split of her input set, scored in exact integers when
@@ -16,7 +16,8 @@ Three engines live here:
   best reply, computed in closed form per question, gives the value.  The
   enumeration order is row-major over (f(0), ..., f(nX-1)) with f(0) most
   significant, and ties break to the lowest strategy index (exactly on the
-  integer path).
+  integer path).  Only maps whose f(0) is an orbit minimum under the
+  relabelings are scanned, which keeps the lowest-index optimum.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state, returning a certified quantum-spatial
   lower bound (the certificate is an explicit finite-dimensional strategy).
@@ -43,7 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .games import FiniteGame
 
 LOCAL_ENUM_CAP = 10 ** 8
-NS_LP_CAP = 10 ** 8  # rows x columns of the no-signalling LP: a solve-time cap
+# (nX nY + nX nA (nY-1) + nY nB (nX-1)) x nX nY nA nB: a solve-time cap
+NS_LP_CAP = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -54,65 +56,116 @@ NS_LP_CAP = 10 ** 8  # rows x columns of the no-signalling LP: a solve-time cap
 def ns_value_lp(game: "FiniteGame") -> LinearProgram:
     """The LP whose optimum is the no-signalling value of the game.
 
-    Variables are the entries p(a,b|x,y) flattened row-major over (x,y,a,b);
-    constraints are per-(x,y) normalization and the no-signalling equalities
-    between consecutive question pairs (which imply all pairs), built as one
-    sparse CSR matrix.  ``NS_LP_CAP`` bounds rows x columns before anything is
-    built.
+    Variables are the entries p(a,b|x,y) flattened row-major over (x,y,a,b),
+    then Alice's marginals alpha[x,a] and Bob's beta[y,b], all >= 0.  Rows are
+    per-(x,y) normalization, then sum_b p(a,b|x,y) - alpha[x,a] = 0 over
+    (x,a,y) and sum_a p(a,b|x,y) - beta[y,b] = 0 over (y,b,x), all row-major,
+    in one sparse CSR matrix that a relabeling of the game permutes by rows
+    and by columns.  ``NS_LP_CAP`` is checked before anything is built.
     """
     from scipy.sparse import coo_array
 
     nX, nY, nA, nB = game.shape
-    n_vars = nX * nY * nA * nB
-    n_rows = nX * nY + nX * nA * (nY - 1) + nY * nB * (nX - 1)
-    if n_rows * n_vars > NS_LP_CAP:
+    n_p = nX * nY * nA * nB
+    n_capped = nX * nY + nX * nA * (nY - 1) + nY * nB * (nX - 1)
+    if n_capped * n_p > NS_LP_CAP:
         raise TooLargeError(
-            f"no-signalling LP would hold {n_rows} x {n_vars} dense entries, over cap "
+            f"no-signalling LP would hold {n_capped} x {n_p} dense entries, over cap "
             f"{NS_LP_CAP}")
-    index = np.arange(n_vars).reshape(nX, nY, nA, nB)
-    rows = [np.repeat(np.arange(nX * nY), nA * nB)]
-    cols = [index.reshape(-1)]
-    vals = [np.ones(n_vars)]
-    start = nX * nY
-    # Alice's rows (x, a, y), then Bob's rows (y, b, x): the marginal of the
-    # outcome at question y (or x) minus the marginal at the next question.
-    for t in (index.transpose(0, 2, 1, 3), index.transpose(1, 3, 0, 2)):
-        context, outcome, other, _ = t.shape
-        row = start + np.arange(context * outcome * (other - 1)).reshape(
-            context, outcome, other - 1, 1)
-        for part, sign in ((t[:, :, :-1], 1.0), (t[:, :, 1:], -1.0)):
-            rows.append(np.broadcast_to(row, part.shape).reshape(-1))
-            cols.append(part.reshape(-1))
-            vals.append(np.full(part.size, sign))
-        start += row.size
-    a_eq = coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(n_rows, n_vars)).tocsr()
+    x, y, a, b = np.indices(game.shape).reshape(4, -1)
+    (p, alpha, beta), (norm, alice, bob) = _lp_index(game.shape, x, y, a, b)
+    first_b, first_a = b == 0, a == 0  # one marginal entry per Alice (Bob) row
+    rows = np.concatenate([norm, alice, bob, alice[first_b], bob[first_a]])
+    cols = np.concatenate([p, p, p, alpha[first_b], beta[first_a]])
+    vals = np.concatenate([np.ones(3 * n_p), np.full(nX * nA * nY + nY * nB * nX, -1.0)])
+    n_rows = nX * nY + nX * nA * nY + nY * nB * nX
+    a_eq = coo_array((vals, (rows, cols)), shape=(n_rows, n_p + nX * nA + nY * nB)).tocsr()
     b_eq = np.zeros(n_rows)
     b_eq[: nX * nY] = 1.0
-    objective = (game.dist[:, :, None, None] * game.win).reshape(-1)
+    objective = np.concatenate([(game.dist[:, :, None, None] * game.win).reshape(-1),
+                                np.zeros(nX * nA + nY * nB)])
     return LinearProgram(objective, a_eq=a_eq, b_eq=b_eq)
+
+
+def _lp_index(shape, x, y, a, b) -> tuple[tuple, tuple]:
+    """For entries p(a,b|x,y) of a game of this shape: the columns of p, of
+    alpha[x,a] and of beta[y,b], and the rows of normalization (x,y), Alice's
+    marginal (x,a,y) and Bob's marginal (y,b,x) in ``ns_value_lp``."""
+    nX, nY, nA, nB = shape
+    n_p, n_pairs = nX * nY * nA * nB, nX * nY
+    cols = (((x * nY + y) * nA + a) * nB + b, n_p + x * nA + a, n_p + nX * nA + y * nB + b)
+    rows = (x * nY + y, n_pairs + (x * nA + a) * nY + y,
+            n_pairs + nX * nA * nY + (y * nB + b) * nX + x)
+    return cols, rows
+
+
+def _orbit_labels(images: np.ndarray) -> np.ndarray:
+    """The smallest member of each point's orbit, for the group generated by
+    the permutations ``images`` (k, n) of range(n); found by label propagation."""
+    labels = np.arange(images.shape[1])
+    while True:
+        new = np.minimum(labels, labels[images].min(axis=0, initial=labels.size))
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _lp_orbits(game: "FiniteGame") -> list[np.ndarray]:
+    """Orbit labels of the columns and of the rows of ``ns_value_lp(game)``."""
+    nX, nY, nA, nB = game.shape
+    parts = zip(*game.relabelings) if game.relabelings else ((),) * 4
+    px, py, sa, sb = (np.array(part, dtype=int).reshape((-1, *shape))
+                      for part, shape in zip(parts, ((nX,), (nY,), (nX, nA), (nY, nB))))
+    x, y, a, b = np.indices(game.shape).reshape(4, -1)
+    before = _lp_index(game.shape, x, y, a, b)
+    after = _lp_index(game.shape, px[:, x], py[:, y], sa[:, x, a], sb[:, y, b])
+    labels = []
+    for points, moved in zip(before, after):  # columns, then rows
+        images = np.empty((len(px), points[-1].max() + 1), dtype=int)
+        for point, image in zip(points, moved):
+            images[:, point] = image
+        labels.append(_orbit_labels(images))
+    return labels
 
 
 def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
     """Exact no-signalling value with an attaining correlation.
 
-    The optimum is checked from both sides before it is returned.  The primal
-    must be a no-signalling ``Correlation``; the value is its payoff with each
-    (x,y) slice and the question distribution divided by their sums, clamped
-    to [0, 1], so that a game the primal wins surely reads exactly 1.0 even
-    when the float question weights sum to 1 - 1e-16.  The dual y must be
-    feasible, c - A^T y <= tol, and its bound b.y must reach the value less
-    tol, with tol = ``games.VALUE_TOL``.  Either failure raises
-    ``NumericError``.
+    HiGHS solves the LP over the orbits of the game's relabelings: the
+    columns of each orbit summed into one, one row kept per row orbit.  The
+    answer is lifted back, p_v = z_(orbit of v) and y_r = y_R / |R|, exactly,
+    since c, A and b are invariant, and checked on the full LP.  The primal
+    must be a no-signalling ``Correlation``; the value is its payoff with
+    each (x,y) slice and the question distribution divided by their sums,
+    clamped to [0, 1], so that a game the primal wins surely reads exactly
+    1.0 even when the float question weights sum to 1 - 1e-16.  The dual y
+    must be feasible, c - A^T y <= tol, and its bound b.y must reach the
+    value less tol, with tol = ``games.VALUE_TOL``.  Either failure raises
+    ``NumericError``.  Relabelings that are wrong for the game leave A and b
+    invariant, so the lifted b.y still equals the primal's value: the dual
+    check then fails unless that value is optimal.
     """
+    from scipy.sparse import coo_array
+
     from .games import VALUE_TOL  # games imports this module
 
     lp = ns_value_lp(game)
-    result = simplex_solve(lp)
+    col_labels, row_labels = _lp_orbits(game)
+    col_reps, col_orbit = np.unique(col_labels, return_inverse=True)
+    row_reps, row_orbit, row_sizes = np.unique(row_labels, return_inverse=True,
+                                               return_counts=True)
+    entries = lp.a_eq.tocoo()
+    kept = row_labels[entries.row] == entries.row  # entries in a representative row
+    a_eq = coo_array((entries.data[kept], (row_orbit[entries.row[kept]],
+                                           col_orbit[entries.col[kept]])),
+                     shape=(row_reps.size, col_reps.size)).tocsr()
+    result = simplex_solve(LinearProgram(np.bincount(col_orbit, weights=lp.objective),
+                                         a_eq=a_eq, b_eq=lp.b_eq[row_reps]))
     if result.status != "optimal":  # pragma: no cover - polytope is nonempty
         raise NumericError(f"no-signalling LP ended with status {result.status}")
+    dual = result.dual[row_orbit] / row_sizes[row_orbit]
     try:
-        corr = Correlation(result.x.reshape(game.shape))
+        corr = Correlation(result.x[col_orbit[:game.win.size]].reshape(game.shape))
     except ValidationError as exc:
         raise NumericError(f"no-signalling primal is not a correlation: {exc}") from exc
     ok, cert = is_no_signalling(corr, VALUE_TOL)
@@ -120,10 +173,10 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
         raise NumericError("no-signalling primal signals", residual=cert.worst)
     won = (game.win * corr.p).sum(axis=(2, 3)) / corr.p.sum(axis=(2, 3))
     value = min(max(float(np.sum(game.dist * won) / np.sum(game.dist)), 0.0), 1.0)
-    excess = float(np.max(lp.objective - lp.a_eq.T @ result.dual))
+    excess = float(np.max(lp.objective - lp.a_eq.T @ dual))
     if excess > VALUE_TOL:
         raise NumericError("no-signalling dual is infeasible", residual=excess)
-    bound = float(lp.b_eq @ result.dual)
+    bound = float(lp.b_eq @ dual)
     if bound < value - VALUE_TOL:
         raise NumericError("no-signalling dual bound is below the value",
                            residual=value - bound)
@@ -148,9 +201,13 @@ def _check_local_cap(game: "FiniteGame") -> None:
 
 
 def local_value(game: "FiniteGame") -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exact classical value and an optimal deterministic pair (f, g)."""
+    """Exact classical value and an optimal deterministic pair (f, g); only
+    maps whose f(0) is an orbit minimum under relabelings fixing x = 0 are scanned."""
     _check_local_cap(game)
-    value, f, g = strategies.argmax_strategy(_payoff_tensor(game))
+    fixing_0 = [sa[0] for px, _, sa, _ in game.relabelings if px[0] == 0]
+    labels = _orbit_labels(np.array(fixing_0, dtype=int).reshape(-1, game.nA))
+    value, f, g = strategies.argmax_strategy(
+        _payoff_tensor(game), leading=np.flatnonzero(labels == np.arange(game.nA)))
     return value, (f, g)
 
 

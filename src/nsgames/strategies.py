@@ -16,6 +16,12 @@ are exact integers in the narrowest of int8/int16/int32 that holds them;
 otherwise they are float64.  Maps are indexed row-major, f(0) most
 significant; ties break to the lowest index, exactly on the integer path.
 Reported values always come from ``best_reply`` on T.
+
+``argmax_strategy`` can scan only the maps whose f(0), the leading digit of
+a first-half row, is in a given set: one contiguous run of rows per value.
+``optimize.local_value`` passes the orbit minima of f(0) under the game's
+relabelings that fix question 0; relabeling an optimum keeps its score, so
+the lowest-index optimum is among them.
 """
 
 from __future__ import annotations
@@ -51,27 +57,40 @@ def partial_scores(weights: np.ndarray, inputs: range) -> np.ndarray:
     return scores
 
 
-def scan_scores(tensor: np.ndarray):
-    """Yield (offset, scores) blocks covering every Alice map in index order.
+def scan_scores(tensor: np.ndarray, leading=None):
+    """Yield (offset, scores) blocks covering, in index order, every Alice map
+    whose f(0) is in ``leading`` (every map when it is None or when Alice has
+    one input).
 
     ``scores[i]`` ranks map ``offset + i`` in the units of
     ``kernel_weights(tensor)``; the block is overwritten by the next one.
     """
     weights = kernel_weights(tensor)
-    n_x, _, n_b, n_y = weights.shape
+    n_x, n_a, n_b, n_y = weights.shape
     first = partial_scores(weights, range(n_x // 2))
     second = np.ascontiguousarray(partial_scores(weights, range(n_x // 2, n_x)).transpose(1, 2, 0))
     n2 = second.shape[2]
-    chunk = min(first.shape[0], max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
+    per = first.shape[0] // n_a  # rows per leading digit; 0 when Alice has one input
+    if leading is None or per == 0:
+        leading, per = [0], first.shape[0]
+    runs = []  # row ranges [start, stop); consecutive digits share one
+    for digit in sorted(leading):
+        if runs and runs[-1][1] == digit * per:
+            runs[-1][1] += per
+        else:
+            runs.append([digit * per, (digit + 1) * per])
+    chunk = min(max(stop - start for start, stop in runs),
+                max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
     best, trial = np.empty((2, chunk, n_y, n2), dtype=weights.dtype)
     totals = np.empty((chunk, n2), dtype=weights.dtype)
-    for start in range(0, first.shape[0], chunk):
-        rows = first[start:start + chunk, :, :, None]
-        m, t, s = best[:len(rows)], trial[:len(rows)], totals[:len(rows)]
-        np.add(rows[:, 0], second[0], out=m)
-        for b in range(1, n_b):
-            np.maximum(m, np.add(rows[:, b], second[b], out=t), out=m)
-        yield start * n2, np.sum(m, axis=1, dtype=s.dtype, out=s).reshape(-1)
+    for run_start, run_stop in runs:
+        for start in range(run_start, run_stop, chunk):
+            rows = first[start:min(start + chunk, run_stop), :, :, None]
+            m, t, s = best[:len(rows)], trial[:len(rows)], totals[:len(rows)]
+            np.add(rows[:, 0], second[0], out=m)
+            for b in range(1, n_b):
+                np.maximum(m, np.add(rows[:, b], second[b], out=t), out=m)
+            yield start * n2, np.sum(m, axis=1, dtype=s.dtype, out=s).reshape(-1)
 
 
 def decode_strategy(index: int, n_inputs: int, n_outputs: int) -> tuple[int, ...]:
@@ -91,11 +110,13 @@ def best_reply(tensor: np.ndarray, f: tuple[int, ...]) -> tuple[tuple[int, ...],
     return g, value
 
 
-def argmax_strategy(tensor: np.ndarray) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
-    """The best deterministic pair: (value, f, g)."""
+def argmax_strategy(tensor: np.ndarray, leading=None
+                    ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
+    """The best deterministic pair (value, f, g) among the Alice maps whose
+    f(0) is in ``leading`` (all maps when it is None)."""
     best_score = -np.inf
     best_index = -1
-    for offset, scores in scan_scores(tensor):
+    for offset, scores in scan_scores(tensor, leading):
         j = int(np.argmax(scores))
         if scores[j] > best_score:
             best_score = float(scores[j])

@@ -39,6 +39,13 @@ class TestValueCommand:
         assert main(["value", chsh_file, "--type", "ns", "--format", "machine"]) == 0
         assert capsys.readouterr().out == "value ns 1.0\n"
 
+    def test_ns_table_certificate(self, chsh_file, capsys):
+        # an orbit-averaged optimum need not be a vertex of the polytope
+        assert main(["value", chsh_file, "--type", "ns"]) == 0
+        out = capsys.readouterr().out
+        assert "certificate: optimal no-signalling correlation\n" in out
+        assert "vertex" not in out
+
     def test_qs_machine(self, chsh_file, capsys):
         code = main(["value", chsh_file, "--type", "qs", "--format", "machine",
                      "--seeds", "10", "--sweeps", "100"])
@@ -83,7 +90,8 @@ class TestValueCommand:
         assert main(["value", str(path), "--type", "loc"]) == 3
 
     @pytest.mark.parametrize("flag, text", [("--seeds", "0"), ("--seeds", "-2"), ("--d", "0"),
-                                            ("--sweeps", "-1")])
+                                            ("--sweeps", "-1"), ("--threads", "0"),
+                                            ("--threads", "-3")])
     def test_bad_seesaw_flag_exit_2(self, chsh_file, capsys, flag, text):
         with pytest.raises(SystemExit) as err:
             main(["value", chsh_file, "--type", "qs", flag, text])

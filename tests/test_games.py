@@ -25,6 +25,7 @@ from nsgames import (
     payoff,
     product_game,
     random_game,
+    relabelings,
     value,
 )
 from nsgames import games, rand
@@ -152,6 +153,86 @@ class TestIterateAndEmbed:
     def test_iterate_cap(self):
         with pytest.raises(TooLargeError):
             iterate(embed(all_win(10, 10, 10, 10)), 9)
+
+
+def symmetric_bases():
+    """Base games with relabelings: CHSH, the chained game with three
+    questions, a ternary-answer game and two seeded uniform-question games
+    (seeds whose predicate has a relabeling besides the identity)."""
+    x, y, a, b = np.indices((3, 3, 2, 2))
+    chained3 = FiniteGame((a ^ b) == ((x == 2) & (y == 2)), np.full((3, 3), 1 / 9))
+    x, y, a, b = np.indices((2, 2, 3, 3))
+    ternary = FiniteGame((a - b) % 3 == x * y, np.full((2, 2), 1 / 4))
+    seeded = [random_game((2, 2, 2, 2), rand.generator(seed), uniform_dist=True)
+              for seed in (5, 8)]
+    return [chsh(), chained3, ternary] + seeded
+
+
+def fixes(game, px, py, sa, sb) -> bool:
+    """Whether (x, y, a, b) -> (px[x], py[y], sa[x, a], sb[y, b]) fixes the game."""
+    for x, y, a, b in itertools.product(*map(range, game.shape)):
+        if (game.win[px[x], py[y], sa[x, a], sb[y, b]] != game.win[x, y, a, b]
+                or game.dist[px[x], py[y]] != game.dist[x, y]):
+            return False
+    return True
+
+
+class TestRelabelings:
+    def test_chsh_group(self):
+        group = relabelings(chsh())
+        assert len(group) == 8
+        assert all(np.array_equal(part, np.broadcast_to(np.arange(2), part.shape))
+                   for part in group[0])  # the identity first
+        assert all(fixes(chsh(), *element) for element in group)
+        keys = {tuple(np.concatenate([np.ravel(part) for part in element])) for element in group}
+        assert len(keys) == 8
+
+    def test_search_is_complete_on_small_games(self):
+        # oracle: every candidate relabeling, tried one by one
+        game = symmetric_bases()[3]
+        perms2 = list(itertools.permutations(range(2)))
+        count = sum(fixes(game, np.array(px), np.array(py), np.array(sa), np.array(sb))
+                    for px in perms2 for py in perms2
+                    for sa in itertools.product(perms2, repeat=2)
+                    for sb in itertools.product(perms2, repeat=2))
+        assert len(relabelings(game)) == count
+
+    @pytest.mark.parametrize("base", range(5))
+    @pytest.mark.parametrize("make", [embed, memory_game])
+    def test_lifted_relabelings_fix_iterates(self, base, make):
+        game = symmetric_bases()[base]
+        cylinder = make(game)
+        assert len(cylinder.relabelings) == len(relabelings(game)) > 1
+        for n in (1, 2):
+            stage = iterate(cylinder, n)
+            assert stage.relabelings
+            nX, nY, nA, nB = stage.shape
+            for px, py, sa, sb in stage.relabelings:
+                assert px.shape == (nX,) and py.shape == (nY,)
+                assert sa.shape == (nX, nA) and sb.shape == (nY, nB)
+                img = stage.win[px[:, None, None, None], py[None, :, None, None],
+                                sa[:, None, :, None], sb[None, :, None, :]]
+                assert np.array_equal(img, stage.win)
+                assert np.array_equal(stage.dist[px[:, None], py[None, :]], stage.dist)
+
+    def test_trivial_group_lifts_to_none(self):
+        # a base whose only relabeling is the identity
+        game = FiniteGame(np.eye(4, dtype=bool).reshape(2, 2, 2, 2), [[0.1, 0.2], [0.3, 0.4]])
+        assert len(relabelings(game)) == 1
+        assert iterate(memory_game(game), 2).relabelings == ()
+
+    def test_above_cap_gets_none(self):
+        big = all_win(1, 1, 8, 1)  # 8! candidates
+        assert relabelings(big) == ()
+        assert iterate(embed(big), 2).relabelings == ()
+
+    def test_only_derived_games_carry_them(self):
+        game = chsh()
+        assert game.relabelings == ()
+        assert product_game(game, game).relabelings == ()
+        assert load_game(dump_game(memory_game(game))).relabelings == ()
+        assert iterate(load_game(dump_game(embed(game))), 2).relabelings == ()
+        assert len(iterate(embed(game), 2).relabelings) > 0
 
 
 class TestMemoryGame:

@@ -28,6 +28,32 @@ from nsgames.linalg import kron, max_abs
 from conftest import PAULI_X, PAULI_Z, pauli_pvm, pr_box
 
 
+def consecutive_difference_lp(game):
+    """Reference no-signalling LP over the entries p alone: normalization per
+    (x,y), and equal marginals at consecutive questions of the other party."""
+    nX, nY, nA, nB = game.shape
+    index = np.arange(game.win.size).reshape(game.shape)
+    rows = []
+    for x in range(nX):
+        for y in range(nY):
+            row = np.zeros(game.win.size)
+            row[index[x, y].ravel()] = 1.0
+            rows.append(row)
+    for x, a, y in itertools.product(range(nX), range(nA), range(nY - 1)):
+        row = np.zeros(game.win.size)
+        row[index[x, y, a, :]] = 1.0
+        row[index[x, y + 1, a, :]] = -1.0
+        rows.append(row)
+    for y, b, x in itertools.product(range(nY), range(nB), range(nX - 1)):
+        row = np.zeros(game.win.size)
+        row[index[x, y, :, b]] = 1.0
+        row[index[x + 1, y, :, b]] = -1.0
+        rows.append(row)
+    b_eq = np.zeros(len(rows))
+    b_eq[: nX * nY] = 1.0
+    return (game.dist[:, :, None, None] * game.win).ravel(), np.array(rows), b_eq
+
+
 def brute_force_local(game):
     """Independent oracle: direct enumeration over every (f, g) pair."""
     nX, nY, nA, nB = game.shape
@@ -82,12 +108,12 @@ class TestNsValue:
     def test_lp_size_cap(self):
         from nsgames.optimize import ns_value_lp
 
-        # memory(chsh)^3 would need 7,936 x 65,536 dense rows (4.2 GB)
+        # memory(chsh)^3 is over the cap: 7,936 capped rows x 65,536 entries
         start = time.perf_counter()
         with pytest.raises(TooLargeError, match="no-signalling LP"):
             ns_value(iterate(memory_game(chsh()), 3))
         assert time.perf_counter() - start < 1.0
-        assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (960, 4096)
+        assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (1088, 4224)
 
     def test_failing_game_solves(self):
         # a 6^4 game on which a dense tableau simplex lost primal feasibility
@@ -138,12 +164,56 @@ class TestNsValue:
         from nsgames.optimize import ns_value_lp
 
         game = random_game(shape, rand.generator(seed))
-        lp = ns_value_lp(game)
         mine, _ = ns_value(game)
-        ref = linprog(-lp.objective, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                      bounds=(0, None), method="highs")
-        assert ref.success
-        assert mine == pytest.approx(-ref.fun, abs=1e-8)
+        lp = ns_value_lp(game)
+        for c, a_eq, b_eq in (consecutive_difference_lp(game), (lp.objective, lp.a_eq, lp.b_eq)):
+            ref = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            assert ref.success
+            assert mine == pytest.approx(-ref.fun, abs=1e-8)
+
+    def test_marginal_lp_layout(self):
+        from nsgames.optimize import ns_value_lp
+
+        lp = ns_value_lp(FiniteGame(np.ones((2, 3, 2, 2), dtype=bool), np.full((2, 3), 1 / 6)))
+        # 6 normalizations, 12 Alice and 12 Bob marginal rows; 24 entries, 4 + 6 marginals
+        assert lp.a_eq.shape == (30, 34)
+        dense = lp.a_eq.toarray()
+        assert np.array_equal(dense[:, 24:].sum(axis=0), [-3.0] * 4 + [-2.0] * 6)
+        assert np.array_equal(dense[:6].sum(axis=1), np.full(6, 4.0))
+
+    def test_corrupted_group_raises(self):
+        from nsgames import NumericError
+
+        stage = iterate(embed(chsh()), 1)
+        flip_at_0 = (np.arange(2), np.arange(2), np.array([[1, 0], [0, 1]]),
+                     np.array([[0, 1], [0, 1]]))  # not a symmetry of CHSH
+        object.__setattr__(stage, "relabelings", (flip_at_0,))
+        with pytest.raises(NumericError, match="no-signalling"):
+            ns_value(stage)
+
+
+def symmetric_iterates():
+    """Embed and memory iterates, n <= 2, of bases with relabelings, including
+    all-win and never-win, within the kernel's reach."""
+    from test_games import symmetric_bases
+
+    bases = symmetric_bases() + [all_win(2, 2, 2, 2), never_win(2, 2, 2, 2)]
+    for i, base in enumerate(bases):
+        for make in (embed, memory_game):
+            for n in (1, 2):
+                stage = iterate(make(base), n)
+                if stage.nA ** stage.nX <= 8 ** 8:
+                    yield pytest.param(stage, id=f"{make.__name__}-{i}-{n}")
+
+
+@pytest.mark.parametrize("stage", list(symmetric_iterates()))
+def test_symmetry_reduction_keeps_answers(stage):
+    # the same game without relabelings: unreduced scan and full LP
+    plain = FiniteGame(stage.win, stage.dist)
+    assert stage.relabelings and not plain.relabelings
+    assert local_value(stage) == local_value(plain)
+    if stage.win.size <= 4096:
+        assert ns_value(stage)[0] == pytest.approx(ns_value(plain)[0], abs=1e-9)
 
 
 class TestLocalValue:

@@ -64,6 +64,18 @@ class TestAgainstBruteForce:
         count = min(5, len(ranking))
         assert top_strategies(tensor, count) == [ranking[k] for k in order[:count]]
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=shapes, data=st.data())
+    def test_leading_digits_restrict_the_scan(self, seed, shape, data):
+        # only maps with f(0) in ``leading`` compete; ties to the lowest index
+        assume(shape[0] > 1)  # with one input the whole scan is one block
+        tensor = random_case(seed, shape, 10)
+        leading = data.draw(st.sets(st.integers(0, shape[2] - 1), min_size=1))
+        ranking = brute_force_ranking(tensor)
+        kept = [k for k, (_, f, _) in enumerate(ranking) if f[0] in leading]
+        best = min(kept, key=lambda k: (-ranking[k][0], k))
+        assert argmax_strategy(tensor, leading=leading) == ranking[best]
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=shapes)
     def test_random_dist_float(self, seed, shape):
