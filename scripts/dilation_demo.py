@@ -9,7 +9,6 @@ import argparse
 import numpy as np
 
 import nsgames as ng
-from nsgames.linalg import max_abs
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -34,8 +33,7 @@ def main() -> None:
     dil = ng.naimark(povm)
     print(f"trine POVM on C^2 -> Naimark PVM on C^{dil.dilation_dim}")
     print(f"  reconstruction residual: {dil.residual:.3e}")
-    iso = max_abs(dil.isometry.conj().T @ dil.isometry - np.eye(2))
-    print(f"  isometry residual:       {iso:.3e}")
+    print(f"  isometry residual:       {dil.isometry_residual:.3e}")
 
     eta = args.eta
     noisy_z = ng.Povm([(I2 + eta * PAULI_Z) / 2, (I2 - eta * PAULI_Z) / 2])

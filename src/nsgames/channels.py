@@ -14,21 +14,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotPsdError, ParseError, ValidationError
-from .linalg import commutator_norm, max_abs, require_hermitian
-
-OPERATOR_TOL = 1e-9
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+from .errors import (INVARIANT_TOL, SYMMETRIZE_TOL, NotPsdError, ParseError, PreconditionError,
+                     ValidationError)
+from .linalg import (commutator_norm, first_above, max_abs, projection_defects,
+                     require_hermitian)
 
 
-def _stack_effects(effects, dim_hint: int | None = None) -> np.ndarray:
-    """Normalize an effects argument to a frozen (outcomes, dim, dim) array."""
+def _stack_effects(effects) -> np.ndarray:
+    """Normalize an effects argument to a new Hermitian (outcomes, dim, dim) array."""
     if isinstance(effects, np.ndarray) and effects.ndim == 3:
-        arr = np.array(effects, dtype=complex)
+        arr = np.asarray(effects, dtype=complex)
     else:
         mats = [np.asarray(e, dtype=complex) for e in effects]
         if not mats:
@@ -38,11 +33,7 @@ def _stack_effects(effects, dim_hint: int | None = None) -> np.ndarray:
         raise ValidationError("outcomes >= 1")
     if arr.shape[1] != arr.shape[2]:
         raise ValidationError("square effects", detail=f"shape {arr.shape}")
-    if dim_hint is not None and arr.shape[1] != dim_hint:
-        raise ValidationError("dimension mismatch", detail=f"{arr.shape[1]} != {dim_hint}")
-    for a in range(arr.shape[0]):
-        arr[a] = require_hermitian(arr[a], tol=1e-8)
-    return arr
+    return require_hermitian(arr, tol=SYMMETRIZE_TOL)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -61,16 +52,17 @@ class Povm:
 
     def __init__(self, effects):
         arr = _stack_effects(effects)
-        object.__setattr__(self, "effects", _freeze(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "effects", arr)
         self._validate()
 
     def _validate(self) -> None:
-        for a in range(self.outcomes):
-            smallest = float(np.linalg.eigvalsh(self.effects[a])[0])
-            if smallest < -OPERATOR_TOL:
-                raise NotPsdError(smallest, detail=f"effect {a}")
+        smallest = np.linalg.eigvalsh(self.effects)[:, 0]
+        first = first_above(-smallest, INVARIANT_TOL)
+        if first is not None:
+            raise NotPsdError(float(smallest[first]), detail=f"effect {first[0]}")
         completeness = max_abs(self.effects.sum(axis=0) - np.eye(self.dim))
-        if completeness > OPERATOR_TOL:
+        if completeness > INVARIANT_TOL:
             raise ValidationError("effects sum to identity", residual=completeness)
 
     @property
@@ -106,18 +98,15 @@ class Pvm(Povm):
 
     def _validate(self) -> None:
         super()._validate()
-        for a in range(self.outcomes):
-            proj = self.effects[a]
-            defect = max_abs(proj @ proj - proj)
-            if defect > OPERATOR_TOL:
-                raise ValidationError("effects are projections", residual=defect,
-                                      detail=f"effect {a}")
-        for a in range(self.outcomes):
-            for b in range(a + 1, self.outcomes):
-                cross = max_abs(self.effects[a] @ self.effects[b])
-                if cross > OPERATOR_TOL:
-                    raise ValidationError("effects are orthogonal", residual=cross,
-                                          detail=f"effects {a},{b}")
+        proj, cross = projection_defects(self.effects)
+        first = first_above(proj, INVARIANT_TOL)
+        if first is not None:
+            raise ValidationError("effects are projections", residual=float(proj[first]),
+                                  detail=f"effect {first[0]}")
+        first = first_above(cross, INVARIANT_TOL)
+        if first is not None:
+            raise ValidationError("effects are orthogonal", residual=float(cross[first]),
+                                  detail="effects {},{}".format(*first))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -134,9 +123,7 @@ class UcpOnFunctions:
         return f"UcpOnFunctions(dim={self.dim}, outcomes={self.outcomes})"
 
     def __init__(self, effects):
-        arr = _stack_effects(effects)
-        object.__setattr__(self, "effects", _freeze(arr))
-        Povm(arr)  # same invariants
+        object.__setattr__(self, "effects", Povm(effects).effects)  # same invariants
 
     @property
     def dim(self) -> int:
@@ -231,18 +218,19 @@ def apply_ucp(ucp: UcpOnFunctions, f: Callable[[int], complex] | Sequence[comple
     return np.tensordot(values, ucp.effects, axes=1)
 
 
-def commutes_with(povm: Povm, operator: np.ndarray, tol: float = OPERATOR_TOL) -> tuple[bool, float]:
-    """Whether S commutes with every effect; returns (verdict, worst residual).
+def commutes_with(povm: Povm, operator: np.ndarray) -> tuple[bool, float]:
+    """Whether S commutes with every effect within ``INVARIANT_TOL``; returns
+    (verdict, worst residual).
 
     By linearity a True verdict certifies S lies in the commutant of the range
     of the associated unital CP map.
     """
-    operator = require_hermitian(operator, tol=1e-8)
+    operator = require_hermitian(operator, tol=SYMMETRIZE_TOL)
     if operator.shape[0] != povm.dim:
         raise ValidationError("equal dimensions",
                               detail=f"{operator.shape[0]} != {povm.dim}")
-    worst = max(commutator_norm(povm.effects[a], operator) for a in range(povm.outcomes))
-    return worst <= tol, worst
+    worst = float(commutator_norm(povm.effects, operator).max())
+    return worst <= INVARIANT_TOL, worst
 
 
 @dataclass(frozen=True)
@@ -251,24 +239,29 @@ class CommutationReport:
     residual: float
     witness: tuple[int, int, int, int] | None  # (x, a, y, b) of the worst pair
 
+    def require(self) -> None:
+        """Raise PreconditionError, with the witness, unless the channels commute."""
+        if not self.commutes:
+            raise PreconditionError(
+                f"channels do not commute (residual {self.residual:.3e} at "
+                f"(x,a,y,b)={self.witness})", witness=self.witness)
 
-def channels_commute(
-    e: FiniteChannel, f: FiniteChannel, tol: float = OPERATOR_TOL
-) -> CommutationReport:
-    """Check that all cross effects E(a|x), F(b|y) commute within ``tol``."""
+
+def channels_commute(e: FiniteChannel, f: FiniteChannel) -> CommutationReport:
+    """Check that all cross effects E(a|x), F(b|y) commute within ``INVARIANT_TOL``.
+
+    The witness is the first worst pair in the order x, y, a, b, and None
+    when every pair commutes exactly.
+    """
     if e.dim != f.dim:
         raise ValidationError("equal dimensions", detail=f"{e.dim} != {f.dim}")
-    worst = 0.0
+    norms = commutator_norm(e.effects_array(), f.effects_array()).transpose(0, 2, 1, 3)
+    worst = float(norms.max())
     witness = None
-    for x, pe in enumerate(e.povms):
-        for y, pf in enumerate(f.povms):
-            for a in range(pe.outcomes):
-                for b in range(pf.outcomes):
-                    r = commutator_norm(pe.effects[a], pf.effects[b])
-                    if r > worst:
-                        worst = r
-                        witness = (x, a, y, b)
-    return CommutationReport(worst <= tol, worst, witness)
+    if worst > 0.0:
+        x, y, a, b = np.unravel_index(int(np.argmax(norms)), norms.shape)
+        witness = (int(x), int(a), int(y), int(b))
+    return CommutationReport(worst <= INVARIANT_TOL, worst, witness)
 
 
 # ---------------------------------------------------------------------------

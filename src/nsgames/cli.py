@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
-import numpy as np
-
 from . import dilation as dilation_mod
 from . import games as games_mod
-from .channels import Povm, dump_povm, load_channel, load_povm
+from .channels import dump_povm, load_channel, load_povm
 from .correlations import is_local, is_no_signalling, load_correlation
 from .errors import ParseError, PreconditionError, TooLargeError
-from .linalg import max_abs
+from .linalg import projection_defects
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -138,70 +137,39 @@ def cmd_sequence(args, out=None) -> int:
     return EXIT_OK
 
 
-def _pvm_residuals(pvm: Povm) -> tuple[float, float]:
-    proj = max(max_abs(e @ e - e) for e in pvm.effects)
-    ortho = 0.0
-    for i in range(pvm.outcomes):
-        for j in range(i + 1, pvm.outcomes):
-            ortho = max(ortho, max_abs(pvm.effects[i] @ pvm.effects[j]))
-    return proj, ortho
-
-
 def cmd_dilate(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     if args.joint is not None:
         povm_e = load_povm(_read(args.povm))
-        povm_f = load_povm(_read(args.joint))
-        result = dilation_mod.joint_commuting_dilation(povm_e, povm_f)
-        iso = max_abs(result.isometry.conj().T @ result.isometry
-                      - np.eye(result.isometry.shape[1]))
-        proj = max(_pvm_residuals(result.pvm_p)[0], _pvm_residuals(result.pvm_q)[0])
-        ortho = max(_pvm_residuals(result.pvm_p)[1], _pvm_residuals(result.pvm_q)[1])
-        if args.format == "machine":
-            _print(out, f"dilation joint K={result.dilation_dim} dim={povm_e.dim}")
-            _print(out, f"residual isometry {_fmt(iso)}")
-            _print(out, f"residual projectivity {_fmt(proj)}")
-            _print(out, f"residual orthogonality {_fmt(ortho)}")
-            _print(out, f"residual reconstruction {_fmt(result.residual)}")
-            _print(out, f"residual cross-commutation {_fmt(result.cross_residual)}")
-            _print(out, dump_povm(result.pvm_p).rstrip("\n"))
-            _print(out, dump_povm(result.pvm_q).rstrip("\n"))
-        else:
-            _print(out, f"joint commuting dilation: K = C^{result.dilation_dim}")
-            _print(out, f"  isometry residual:          {iso:.3e}")
-            _print(out, f"  projectivity residual:      {proj:.3e}")
-            _print(out, f"  orthogonality residual:     {ortho:.3e}")
-            _print(out, f"  reconstruction residual:    {result.residual:.3e}")
-            _print(out, f"  cross-commutation residual: {result.cross_residual:.3e}")
-        return EXIT_OK
-
-    channel = load_channel(_read(args.povm))
-    if channel.inputs == 1:
-        result = dilation_mod.naimark(channel.povms[0])
-        pvms = [result.dilated]
-        label = "naimark"
+        result = dilation_mod.joint_commuting_dilation(povm_e, load_povm(_read(args.joint)))
+        label, title, pvms = "joint", "joint commuting", [result.pvm_p, result.pvm_q]
+        extra = [("cross-commutation", result.cross_residual)]
     else:
-        result = dilation_mod.simultaneous_naimark(channel.padded())
-        pvms = list(result.dilated)
-        label = "simultaneous"
-    iso = max_abs(result.isometry.conj().T @ result.isometry
-                  - np.eye(result.isometry.shape[1]))
-    proj = max(_pvm_residuals(p)[0] for p in pvms)
-    ortho = max(_pvm_residuals(p)[1] for p in pvms)
+        channel = load_channel(_read(args.povm))
+        if channel.inputs == 1:
+            result = dilation_mod.naimark(channel.povms[0])
+            label, pvms = "naimark", [result.dilated]
+        else:
+            result = dilation_mod.simultaneous_naimark(channel.padded())
+            label, pvms = "simultaneous", list(result.dilated)
+        title, extra = label, []
+    defects = [projection_defects(pvm.effects) for pvm in pvms]
+    rows = [("isometry", result.isometry_residual),
+            ("projectivity", max(float(proj.max()) for proj, _ in defects)),
+            ("orthogonality", max(float(cross.max()) for _, cross in defects)),
+            ("reconstruction", result.residual)] + extra
+    dilation_dim, dim = result.isometry.shape
     if args.format == "machine":
-        _print(out, f"dilation {label} K={result.dilation_dim} dim={result.source_dim}")
-        _print(out, f"residual isometry {_fmt(iso)}")
-        _print(out, f"residual projectivity {_fmt(proj)}")
-        _print(out, f"residual orthogonality {_fmt(ortho)}")
-        _print(out, f"residual reconstruction {_fmt(result.residual)}")
+        _print(out, f"dilation {label} K={dilation_dim} dim={dim}")
+        for name, value in rows:
+            _print(out, f"residual {name} {_fmt(value)}")
         for pvm in pvms:
             _print(out, dump_povm(pvm).rstrip("\n"))
     else:
-        _print(out, f"{label} dilation: K = C^{result.dilation_dim}")
-        _print(out, f"  isometry residual:       {iso:.3e}")
-        _print(out, f"  projectivity residual:   {proj:.3e}")
-        _print(out, f"  orthogonality residual:  {ortho:.3e}")
-        _print(out, f"  reconstruction residual: {result.residual:.3e}")
+        _print(out, f"{title} dilation: K = C^{dilation_dim}")
+        width = max(len(name) for name, _ in rows) + len(" residual:")
+        for name, value in rows:
+            _print(out, f"  {name + ' residual:':<{width}} {value:.3e}")
     return EXIT_OK
 
 
@@ -250,6 +218,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float no smaller than 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
@@ -296,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="test a correlation dump")
     p_chk.add_argument("corr", help="correlation dump file")
     p_chk.add_argument("--test", choices=("ns", "local"), required=True)
-    p_chk.add_argument("--tol", type=float, default=1e-8,
+    p_chk.add_argument("--tol", type=_tolerance, default=1e-8,
                        help="verdict tolerance")
     p_chk.set_defaults(func=cmd_check)
     return parser

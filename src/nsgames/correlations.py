@@ -17,15 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import FiniteChannel, channels_commute
-from .errors import (NumericError, ParseError, PreconditionError, TooLargeError,
-                     ValidationError)
+from .errors import (FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError,
+                     PreconditionError, TooLargeError, ValidationError)
 from .simplex import LinearProgram, simplex_solve
 
-SUM_TOL = 1e-9
-CLIP_TOL = 1e-12
-IMAG_TOL = 1e-10
 VERTEX_CAP = 10 ** 7
-WEIGHT_FLOOR = 1e-12  # smaller local weights are dropped from a decomposition
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -46,14 +42,14 @@ class Correlation:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("finite entries")
         lowest = float(arr.min())
-        if lowest < -CLIP_TOL:
+        if lowest < -ROUNDING_TOL:
             raise ValidationError("probabilities nonnegative", residual=lowest)
         if lowest < 0.0:
             arr = np.clip(arr, 0.0, None)
             arr /= arr.sum(axis=(2, 3), keepdims=True)
         sums = arr.sum(axis=(2, 3))
         defect = float(np.max(np.abs(sums - 1.0)))
-        if defect > SUM_TOL:
+        if defect > INVARIANT_TOL:
             raise ValidationError("per-(x,y) normalization", residual=defect)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
@@ -96,7 +92,7 @@ class NsCertificate:
         return max(self.max_alice, self.max_bob)
 
 
-def is_no_signalling(corr: Correlation, tol: float = SUM_TOL) -> tuple[bool, NsCertificate]:
+def is_no_signalling(corr: Correlation, tol: float = INVARIANT_TOL) -> tuple[bool, NsCertificate]:
     """Check the marginal equalities; returns (verdict, certificate).
 
     The Alice defect is max over (x, a, y, y') of the difference between the
@@ -141,11 +137,11 @@ def marginal_B(corr: Correlation, tol: float = 1e-7) -> np.ndarray:
     return corr.p[0, :, :, :].sum(axis=1)
 
 
-def _check_stochastic(table: np.ndarray, name: str, tol: float = SUM_TOL) -> np.ndarray:
+def _check_stochastic(table: np.ndarray, name: str, tol: float = INVARIANT_TOL) -> np.ndarray:
     table = np.asarray(table, dtype=float)
     if table.ndim != 2:
         raise ValidationError("stochastic table", detail=f"{name} must be 2-d")
-    if float(table.min()) < -CLIP_TOL:
+    if float(table.min()) < -ROUNDING_TOL:
         raise ValidationError(f"{name} nonnegative", residual=float(table.min()))
     defect = float(np.max(np.abs(table.sum(axis=1) - 1.0)))
     if defect > tol:
@@ -164,7 +160,7 @@ def from_local(weights, alice_channels, bob_channels) -> Correlation:
     if float(weights.min()) < 0.0:
         raise ValidationError("weights nonnegative", residual=float(weights.min()))
     total = float(weights.sum())
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > ROUNDING_TOL:
         raise ValidationError("weights sum to 1", residual=abs(total - 1.0))
     if len(alice_channels) != weights.size or len(bob_channels) != weights.size:
         raise ValidationError("one channel pair per weight")
@@ -173,7 +169,7 @@ def from_local(weights, alice_channels, bob_channels) -> Correlation:
     p = sum(w * np.einsum("xa,yb->xyab", q, r)
             for w, q, r in zip(weights, qs, rs))
     corr = Correlation(p)
-    ok, cert = is_no_signalling(corr, tol=1e-12)
+    ok, cert = is_no_signalling(corr, tol=ROUNDING_TOL)
     if not ok:  # pragma: no cover - mixtures of products cannot signal
         raise ValidationError("no-signalling", residual=cert.worst)
     return corr
@@ -196,7 +192,7 @@ def qs_probabilities(alice_effects: np.ndarray, bob_effects: np.ndarray,
     reduced = np.einsum("...ij,...xaik,...kl->...xajl", mat.conj(), alice_effects, mat)
     p = np.einsum("...xajl,...ybjl->...xyab", reduced, bob_effects)
     residue = float(np.max(np.abs(p.imag), initial=0.0))
-    if residue > IMAG_TOL:
+    if residue > FACTOR_TOL:
         raise ValidationError("real probabilities", residual=residue)
     return p.real
 
@@ -205,14 +201,14 @@ def from_qs(e: FiniteChannel, f: FiniteChannel, psi) -> Correlation:
     """Quantum spatial correlation p(a,b|x,y) = <psi|E(a|x) (x) F(b|y)|psi>."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > FACTOR_TOL:
         raise PreconditionError(f"state is not a unit vector (norm {norm!r})")
     if psi.size != e.dim * f.dim:
         raise ValidationError("state lives on the tensor product",
                               detail=f"{psi.size} != {e.dim}*{f.dim}")
     p = qs_probabilities(e.effects_array(), f.effects_array(), psi)
     corr = Correlation(p)
-    ok, cert = is_no_signalling(corr, SUM_TOL)
+    ok, cert = is_no_signalling(corr)
     if not ok:  # pragma: no cover - impossible for valid channels
         raise ValidationError("no-signalling", residual=cert.worst)
     return corr
@@ -223,14 +219,10 @@ def from_qc(e: FiniteChannel, f: FiniteChannel, xi) -> Correlation:
 
     Requires channels with commuting ranges on one space.
     """
-    report = channels_commute(e, f)
-    if not report.commutes:
-        raise PreconditionError(
-            f"channels do not commute (residual {report.residual:.3e} at "
-            f"(x,a,y,b)={report.witness})", witness=report.witness)
+    channels_commute(e, f).require()
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(xi))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > FACTOR_TOL:
         raise PreconditionError(f"state is not a unit vector (norm {norm!r})")
     if xi.size != e.dim:
         raise ValidationError("state lives on the channel space",
@@ -239,10 +231,10 @@ def from_qc(e: FiniteChannel, f: FiniteChannel, xi) -> Correlation:
     right = np.einsum("ybij,j->ybi", f.effects_array(), xi)
     p = np.einsum("xai,ybi->xyab", left.conj(), right)
     residue = float(np.max(np.abs(p.imag), initial=0.0))
-    if residue > IMAG_TOL:
+    if residue > FACTOR_TOL:
         raise ValidationError("real probabilities", residual=residue)
     corr = Correlation(p.real)
-    ok, cert = is_no_signalling(corr, SUM_TOL)
+    ok, cert = is_no_signalling(corr)
     if not ok:  # pragma: no cover - impossible once commuting holds
         raise ValidationError("no-signalling", residual=cert.worst)
     return corr
@@ -332,7 +324,7 @@ def _staircase(fs: np.ndarray, q: np.ndarray):
     quantile u in [0, 1): g(y) is the b whose cumulative slot of q[f, y] holds
     u.  Yields (f, g, weight) with at most nY (nB - 1) + 1 maps per f."""
     totals = q.sum(axis=(1, 2)) / q.shape[1]
-    for k in np.flatnonzero(totals > WEIGHT_FLOOR):
+    for k in np.flatnonzero(totals > ROUNDING_TOL):
         rows = q[k] / q[k].sum(axis=1, keepdims=True)
         cum = np.clip(np.cumsum(rows, axis=1)[:, :-1], 0.0, 1.0)
         cuts = np.unique(np.concatenate([[0.0, 1.0], cum.reshape(-1)]))
@@ -356,7 +348,7 @@ def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport
     is reported as the separation gap otherwise.  A local verdict carries
     (f, g, weight) triples: each channel q_f is split into deterministic
     maps by a shared quantile, and the triples must sum to 1 and rebuild p
-    within max(``tol``, ``SUM_TOL``), or ``NumericError`` is raised.
+    within max(``tol``, ``INVARIANT_TOL``), or ``NumericError`` is raised.
     """
     nX, nY, nA, nB = corr.shape
     n_f = nA ** nX
@@ -370,7 +362,7 @@ def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport
     if gap > tol:
         return False, LocalityReport(False, gap, ())
     triples = [(tuple(f.tolist()), tuple(g.tolist()), float(w))
-               for f, g, w in _staircase(fs, q) if w > WEIGHT_FLOOR]
+               for f, g, w in _staircase(fs, q) if w > ROUNDING_TOL]
     # Ordered by (f, g) either way: within one f, g rises with the quantile.
     weights = tuple(sorted((g, f, w) for f, g, w in triples) if swap else triples)
     _certify(corr, weights, tol)
@@ -379,9 +371,9 @@ def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport
 
 def _certify(corr: Correlation, weights, tol: float) -> None:
     """Raise ``NumericError`` unless the weights sum to 1 and sum w D_(f,g)
-    is p, both within ``tol`` or, if larger, ``SUM_TOL``: a correlation is
+    is p, both within ``tol`` or, if larger, ``INVARIANT_TOL``: a correlation is
     normalized only to that accuracy, and rounding alone exceeds tol = 0."""
-    tol = max(tol, SUM_TOL)
+    tol = max(tol, INVARIANT_TOL)
     ws = np.array([w for _, _, w in weights])
     excess = abs(float(ws.sum()) - 1.0)
     if not excess <= tol:  # NaN fails too

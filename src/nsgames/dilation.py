@@ -13,17 +13,33 @@ dilations) is assembled from this brick plus unitary rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import FiniteChannel, Povm, Pvm, channels_commute
-from .errors import PreconditionError, ValidationError
-from .linalg import extend_isometry_to_unitary, hermitize, hermiticity_defect, kron, max_abs, psd_sqrt
+from .errors import FACTOR_TOL, INVARIANT_TOL, SYMMETRIZE_TOL, PreconditionError, ValidationError
+from .linalg import (commutator_norm, extend_isometry_to_unitary, first_above, hermitize,
+                     isometry_defect, kron, max_abs, psd_sqrt)
 
-ISOMETRY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
-HERMITIZE_DEFECT_TOL = 1e-8
+
+def _check_isometry(dilation, *residuals: tuple[str, float]) -> None:
+    """Freeze a new dilation's isometry V and store ||V*V - I||_max.
+
+    Raises ValidationError("isometry") for a defect above ``FACTOR_TOL``, and
+    ValidationError naming the first (invariant, residual) pair whose
+    residual exceeds ``INVARIANT_TOL``.
+    """
+    isometry = np.asarray(dilation.isometry, dtype=complex)
+    defect = isometry_defect(isometry)
+    if defect > FACTOR_TOL:
+        raise ValidationError("isometry", residual=defect)
+    for invariant, residual in residuals:
+        if residual > INVARIANT_TOL:
+            raise ValidationError(invariant, residual=residual)
+    isometry.setflags(write=False)
+    object.__setattr__(dilation, "isometry", isometry)
+    object.__setattr__(dilation, "isometry_residual", defect)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -32,24 +48,17 @@ class Dilation:
 
     ``dilated`` is a single Pvm (naimark) or a tuple of Pvm (one per channel
     input, sharing the isometry).  ``residual`` is the worst entrywise error
-    max ||V* P_a V - E_a||_max over all dilated families.
+    max ||V* P_a V - E_a||_max over all dilated families, and
+    ``isometry_residual`` is ||V*V - I||_max.
     """
 
     isometry: np.ndarray
     dilated: Pvm | tuple[Pvm, ...]
     residual: float
+    isometry_residual: float = field(init=False)
 
-    def __init__(self, isometry: np.ndarray, dilated, residual: float):
-        isometry = np.asarray(isometry, dtype=complex)
-        defect = max_abs(isometry.conj().T @ isometry - np.eye(isometry.shape[1]))
-        if defect > ISOMETRY_TOL:
-            raise ValidationError("isometry", residual=defect)
-        if residual > RECONSTRUCTION_TOL:
-            raise ValidationError("dilation reconstruction", residual=residual)
-        isometry.setflags(write=False)
-        object.__setattr__(self, "isometry", isometry)
-        object.__setattr__(self, "dilated", dilated)
-        object.__setattr__(self, "residual", float(residual))
+    def __post_init__(self):
+        _check_isometry(self, ("dilation reconstruction", self.residual))
 
     @property
     def dilation_dim(self) -> int:
@@ -68,9 +77,10 @@ class Dilation:
 class CommutingDilation:
     """Joint dilation of a commuting POVM pair to commuting PVMs P, Q on K.
 
-    Satisfies V* P_a Q_b V = E_a F_b within the reconstruction tolerance;
+    Satisfies V* P_a Q_b V = E_a F_b within ``INVARIANT_TOL``;
     ``cross_residual`` is max_{a,b} ||[P_a, Q_b]||_max (zero by construction
-    here, since P and Q are marginals of one orthogonal family).
+    here, since P and Q are marginals of one orthogonal family), and
+    ``isometry_residual`` is ||V*V - I||_max.
     """
 
     isometry: np.ndarray
@@ -78,22 +88,11 @@ class CommutingDilation:
     pvm_q: Pvm
     cross_residual: float
     residual: float
+    isometry_residual: float = field(init=False)
 
-    def __init__(self, isometry, pvm_p, pvm_q, cross_residual, residual):
-        isometry = np.asarray(isometry, dtype=complex)
-        defect = max_abs(isometry.conj().T @ isometry - np.eye(isometry.shape[1]))
-        if defect > ISOMETRY_TOL:
-            raise ValidationError("isometry", residual=defect)
-        if cross_residual > RECONSTRUCTION_TOL:
-            raise ValidationError("commuting dilation", residual=cross_residual)
-        if residual > RECONSTRUCTION_TOL:
-            raise ValidationError("dilation reconstruction", residual=residual)
-        isometry.setflags(write=False)
-        object.__setattr__(self, "isometry", isometry)
-        object.__setattr__(self, "pvm_p", pvm_p)
-        object.__setattr__(self, "pvm_q", pvm_q)
-        object.__setattr__(self, "cross_residual", float(cross_residual))
-        object.__setattr__(self, "residual", float(residual))
+    def __post_init__(self):
+        _check_isometry(self, ("commuting dilation", self.cross_residual),
+                        ("dilation reconstruction", self.residual))
 
     @property
     def dilation_dim(self) -> int:
@@ -114,15 +113,22 @@ def _block_projections(dim: int, blocks: int) -> np.ndarray:
     return effects
 
 
+def _root_isometry(povm: Povm) -> np.ndarray:
+    """The block square-root isometry V h = (E_0^{1/2} h, ..., E_{k-1}^{1/2} h)."""
+    return np.vstack([psd_sqrt(effect) for effect in povm.effects])
+
+
+def _reconstruction_residual(isometry: np.ndarray, projections: np.ndarray,
+                             effects: np.ndarray) -> float:
+    """max_a ||V* P_a V - E_a||_max over two (k, ., .) stacks."""
+    return max_abs(isometry.conj().T @ projections @ isometry - effects)
+
+
 def naimark(povm: Povm) -> Dilation:
     """Block square-root Naimark dilation of a POVM to a PVM on C^{d*k}."""
-    d, k = povm.dim, povm.outcomes
-    isometry = np.vstack([psd_sqrt(povm.effects[a]) for a in range(k)])
-    projections = Pvm(_block_projections(d, k))
-    residual = max(
-        max_abs(isometry.conj().T @ projections.effects[a] @ isometry - povm.effects[a])
-        for a in range(k)
-    )
+    isometry = _root_isometry(povm)
+    projections = Pvm(_block_projections(povm.dim, povm.outcomes))
+    residual = _reconstruction_residual(isometry, projections.effects, povm.effects)
     return Dilation(isometry, projections, residual)
 
 
@@ -140,89 +146,66 @@ def simultaneous_naimark(channel: FiniteChannel) -> Dilation:
         raise ValidationError("common outcome count",
                               detail=f"counts {sorted(counts)}; use FiniteChannel.padded()")
     d, k = channel.dim, channel.povms[0].outcomes
-    total = d * k
-    inclusion = np.zeros((total, d), dtype=complex)
-    inclusion[:d, :] = np.eye(d)
+    inclusion = np.eye(d * k, d, dtype=complex)
     blocks = _block_projections(d, k)
     dilated = []
     residual = 0.0
-    for x, povm in enumerate(channel.povms):
-        v_x = np.vstack([psd_sqrt(povm.effects[a]) for a in range(k)])
-        u_x = extend_isometry_to_unitary(v_x)
-        rotated = np.einsum("ji,ajk,kl->ail", u_x.conj(), blocks, u_x)
-        pvm_x = Pvm(rotated)
+    for povm in channel.povms:
+        u_x = extend_isometry_to_unitary(_root_isometry(povm))
+        pvm_x = Pvm(np.einsum("ji,ajk,kl->ail", u_x.conj(), blocks, u_x))
         dilated.append(pvm_x)
-        for a in range(k):
-            err = max_abs(inclusion.conj().T @ pvm_x.effects[a] @ inclusion
-                          - povm.effects[a])
-            residual = max(residual, err)
+        residual = max(residual,
+                       _reconstruction_residual(inclusion, pvm_x.effects, povm.effects))
     return Dilation(inclusion, tuple(dilated), residual)
 
 
-def product_povm_commuting(e: Povm, f: Povm, tol: float = RECONSTRUCTION_TOL) -> Povm:
+def product_povm_commuting(e: Povm, f: Povm) -> Povm:
     """Product measure of a commuting pair: G_(a,b) = E_a F_b over A x B.
 
-    The products are Hermitized; a pre-symmetrization defect above 1e-8 is an
-    error (it signals genuinely non-commuting inputs rather than round-off).
-    Outcome pairs are encoded row-major: (a, b) -> a * outcomes(F) + b.
+    The products are Hermitized.  The Hermiticity defect of E_a F_b is the
+    commutator norm ||[E_a, F_b]||_max; a defect above ``SYMMETRIZE_TOL`` is
+    an error (it signals genuinely non-commuting inputs rather than
+    round-off), reported for the first such pair (a, b).  Outcome pairs are
+    encoded row-major: (a, b) -> a * outcomes(F) + b.
     """
     if e.dim != f.dim:
         raise ValidationError("equal dimensions", detail=f"{e.dim} != {f.dim}")
-    worst = 0.0
-    effects = np.zeros((e.outcomes * f.outcomes, e.dim, e.dim), dtype=complex)
-    for a in range(e.outcomes):
-        for b in range(f.outcomes):
-            prod = e.effects[a] @ f.effects[b]
-            defect = hermiticity_defect(prod)
-            worst = max(worst, defect)
-            if defect > HERMITIZE_DEFECT_TOL:
-                raise PreconditionError(
-                    f"effects do not commute: Hermiticity defect {defect:.3e} "
-                    f"at pair ({a},{b})", witness=(a, b))
-            effects[a * f.outcomes + b] = hermitize(prod)
-    return Povm(effects)
+    norms = commutator_norm(e.effects, f.effects)
+    first = first_above(norms, SYMMETRIZE_TOL)
+    if first is not None:
+        raise PreconditionError(
+            f"effects do not commute: Hermiticity defect {norms[first]:.3e} "
+            "at pair ({},{})".format(*first), witness=first)
+    return Povm(hermitize(e.effects[:, None] @ f.effects[None]).reshape(-1, e.dim, e.dim))
 
 
-def joint_commuting_dilation(e: Povm, f: Povm, tol: float = RECONSTRUCTION_TOL) -> CommutingDilation:
+def joint_commuting_dilation(e: Povm, f: Povm) -> CommutingDilation:
     """Dilate a commuting POVM pair to exactly commuting PVMs on one space.
 
-    The product POVM G_(a,b) = E_a F_b is Naimark-dilated to an orthogonal
+    Every commutator ||[E_a, F_b]||_max must be at most ``INVARIANT_TOL``;
+    otherwise PreconditionError names the first worst pair (a, b).  The
+    product POVM G_(a,b) = E_a F_b is Naimark-dilated to an orthogonal
     family R_(a,b); the marginals P_a = sum_b R_(a,b) and Q_b = sum_a R_(a,b)
     are PVMs that commute exactly (they are block sums of one orthogonal
     family) and reconstruct the products: V* P_a Q_b V = V* R_(a,b) V = E_a F_b.
     """
     if e.dim != f.dim:
         raise ValidationError("equal dimensions", detail=f"{e.dim} != {f.dim}")
-    worst = max(
-        max_abs(e.effects[a] @ f.effects[b] - f.effects[b] @ e.effects[a])
-        for a in range(e.outcomes) for b in range(f.outcomes)
-    )
-    if worst > tol:
-        arg = max(
-            ((a, b) for a in range(e.outcomes) for b in range(f.outcomes)),
-            key=lambda ab: max_abs(e.effects[ab[0]] @ f.effects[ab[1]]
-                                   - f.effects[ab[1]] @ e.effects[ab[0]]),
-        )
+    norms = commutator_norm(e.effects, f.effects)
+    worst = float(norms.max())
+    if worst > INVARIANT_TOL:
+        arg = tuple(int(i) for i in np.unravel_index(int(np.argmax(norms)), norms.shape))
         raise PreconditionError(
             f"POVMs do not commute (residual {worst:.3e} at pair {arg})", witness=arg)
-    product = product_povm_commuting(e, f)
-    base = naimark(product)
-    k_f = f.outcomes
-    joint = base.dilated.effects  # (e.outcomes * f.outcomes, K, K)
-    p_effects = np.stack([joint[a * k_f:(a + 1) * k_f].sum(axis=0)
-                          for a in range(e.outcomes)])
-    q_effects = np.stack([joint[b::k_f].sum(axis=0) for b in range(k_f)])
-    pvm_p, pvm_q = Pvm(p_effects), Pvm(q_effects)
-    cross = max(
-        max_abs(pvm_p.effects[a] @ pvm_q.effects[b] - pvm_q.effects[b] @ pvm_p.effects[a])
-        for a in range(e.outcomes) for b in range(k_f)
-    )
+    base = naimark(product_povm_commuting(e, f))
+    dim = base.dilation_dim
+    joint = base.dilated.effects.reshape(e.outcomes, f.outcomes, dim, dim)
+    pvm_p, pvm_q = Pvm(joint.sum(axis=1)), Pvm(joint.sum(axis=0))
+    cross = float(commutator_norm(pvm_p.effects, pvm_q.effects).max())
     v = base.isometry
-    residual = max(
-        max_abs(v.conj().T @ (pvm_p.effects[a] @ pvm_q.effects[b]) @ v
-                - e.effects[a] @ f.effects[b])
-        for a in range(e.outcomes) for b in range(k_f)
-    )
+    residual = _reconstruction_residual(
+        v, (pvm_p.effects[:, None] @ pvm_q.effects[None]).reshape(-1, dim, dim),
+        (e.effects[:, None] @ f.effects[None]).reshape(-1, e.dim, e.dim))
     return CommutingDilation(v, pvm_p, pvm_q, cross, residual)
 
 
@@ -252,11 +235,7 @@ def product_channel(e: FiniteChannel, f: FiniteChannel, mode: str = "tensor") ->
         raise ValueError(f"unknown mode {mode!r}")
     e, f = e.padded(), f.padded()
     if mode == "commuting":
-        report = channels_commute(e, f)
-        if not report.commutes:
-            raise PreconditionError(
-                f"channels do not commute (residual {report.residual:.3e} "
-                f"at (x,a,y,b)={report.witness})", witness=report.witness)
+        channels_commute(e, f).require()
         build = product_povm_commuting
     else:
         build = tensor_povm

@@ -1,10 +1,32 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its four tolerances.
 
-The CLI maps these onto exit codes: ParseError -> 2, TooLargeError -> 3,
-PreconditionError -> 4, anything else -> 1.
+The CLI maps the exceptions onto exit codes: ParseError -> 2,
+TooLargeError -> 3, PreconditionError -> 4, anything else -> 1.
+
+Every threshold the package applies is one of these, sized for:
+
+* ``ROUNDING_TOL`` (1e-12): a few roundings of unit-scale data that is exact
+  in exact arithmetic (weight sums, negative probabilities, zero eigenvalues);
+* ``FACTOR_TOL`` (1e-10): the residual of one factorization or normalization
+  (eigendecompositions, isometries, unit states, imaginary parts);
+* ``INVARIANT_TOL`` (1e-9): invariants of results built by chains of such
+  steps (LP solutions, operator products, values against certificates);
+* ``SYMMETRIZE_TOL`` (1e-8): the Hermiticity defect that symmetrizing to
+  (M + M*)/2 may silently remove (supplied effects, products E_a F_b).
+
+A failed check raises ValidationError (or NotPsdError) for an object's
+invariant, PreconditionError for inputs outside an operation's domain, and
+NumericError for a computed result.  The see-saw's step thresholds, the
+``tol`` defaults of ``is_local`` and ``marginal_A``/``marginal_B`` and the
+Gram-Schmidt floor of ``linalg.extend_isometry_to_unitary`` are separate.
 """
 
 from __future__ import annotations
+
+ROUNDING_TOL = 1e-12
+FACTOR_TOL = 1e-10
+INVARIANT_TOL = 1e-9
+SYMMETRIZE_TOL = 1e-8
 
 
 class ValidationError(ValueError):

@@ -27,10 +27,9 @@ import numpy as np
 
 from . import optimize
 from .correlations import Correlation, deterministic_correlation, from_qs
-from .errors import NumericError, ParseError, TooLargeError, ValidationError
+from .errors import (INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError, TooLargeError,
+                     ValidationError)
 
-DIST_TOL = 1e-12
-VALUE_TOL = 1e-9
 PREDICATE_CAP = 10 ** 9
 # Candidates nX! nY! (nA!)^nX (nB!)^nY the relabeling search tries; above it
 # the search finds none, which leaves the engines unreduced, never wrong.
@@ -58,7 +57,7 @@ class FiniteGame:
         if float(dist.min()) < 0.0:
             raise ValidationError("distribution nonnegative", residual=float(dist.min()))
         defect = abs(float(dist.sum()) - 1.0)
-        if defect > DIST_TOL:
+        if defect > ROUNDING_TOL:
             raise ValidationError("distribution sums to 1", residual=defect)
         win.setflags(write=False)
         dist.setflags(write=False)
@@ -127,7 +126,7 @@ class CylinderGame:
             raise ValidationError("distribution nonnegative",
                                   residual=float(base_dist.min()))
         defect = abs(float(base_dist.sum()) - 1.0)
-        if defect > DIST_TOL:
+        if defect > ROUNDING_TOL:
             raise ValidationError("distribution sums to 1", residual=defect)
         win.setflags(write=False)
         base_dist.setflags(write=False)
@@ -164,7 +163,7 @@ def payoff(game: FiniteGame, corr: Correlation) -> float:
         raise ValidationError("matching alphabets",
                               detail=f"{corr.shape} vs {game.shape}")
     total = float(np.sum(game.dist[:, :, None, None] * game.win * corr.p))
-    if not -VALUE_TOL <= total <= 1.0 + VALUE_TOL:
+    if not -INVARIANT_TOL <= total <= 1.0 + INVARIANT_TOL:
         raise NumericError("payoff escaped [0,1]", residual=total)
     return min(max(total, 0.0), 1.0)
 
@@ -191,7 +190,7 @@ def value(game: FiniteGame, kind: str, *, dim: int = 2, seeds: int = 20,
     else:
         raise ValueError(f"unknown value type {kind!r}")
     check = payoff(game, corr)
-    if abs(check - val) > VALUE_TOL:
+    if abs(check - val) > INVARIANT_TOL:
         raise NumericError("certificate does not reproduce the value",
                            residual=abs(check - val))
     return ValueReport(game.name, tag, min(max(val, 0.0), 1.0), certificate, exact)
@@ -379,7 +378,7 @@ def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int, threads:
                 break  # stages already started past the cap finish unread
             if n + window <= n_max:
                 ahead.append(pool.submit(stage_value, n + window))
-            if kind != "qs" and previous is not None and raw > previous + VALUE_TOL:
+            if kind != "qs" and previous is not None and raw > previous + INVARIANT_TOL:
                 raise NumericError("iterate values must be non-increasing",
                                    residual=raw - previous)
             previous = raw

@@ -36,7 +36,7 @@ import numpy as np
 from . import rand, strategies
 from .channels import FiniteChannel, Povm
 from .correlations import Correlation, is_no_signalling, qs_probabilities
-from .errors import NumericError, TooLargeError, ValidationError
+from .errors import FACTOR_TOL, INVARIANT_TOL, NumericError, TooLargeError, ValidationError
 from .linalg import hermitize
 from .simplex import LinearProgram, simplex_solve
 
@@ -139,15 +139,15 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
     each (x,y) slice and the question distribution divided by their sums,
     clamped to [0, 1], so that a game the primal wins surely reads exactly
     1.0 even when the float question weights sum to 1 - 1e-16.  The dual y
-    must be feasible, c - A^T y <= tol, and its bound b.y must reach the
-    value less tol, with tol = ``games.VALUE_TOL``.  Either failure raises
-    ``NumericError``.  Relabelings that are wrong for the game leave A and b
-    invariant, so the lifted b.y still equals the primal's value: the dual
-    check then fails unless that value is optimal.
+    must be feasible, c - A^T y <= tol, and its bound b.y must equal the
+    value within tol, with tol = ``errors.INVARIANT_TOL``.  A feasible dual
+    bounds every primal from above, so together the checks certify that the
+    value is optimal; any failure raises ``NumericError``.  Relabelings that
+    are wrong for the game leave A and b invariant, so the lifted b.y still
+    equals the primal's value: the dual check then fails unless that value
+    is optimal.
     """
     from scipy.sparse import coo_array
-
-    from .games import VALUE_TOL  # games imports this module
 
     lp = ns_value_lp(game)
     col_labels, row_labels = _lp_orbits(game)
@@ -168,18 +168,17 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
         corr = Correlation(result.x[col_orbit[:game.win.size]].reshape(game.shape))
     except ValidationError as exc:
         raise NumericError(f"no-signalling primal is not a correlation: {exc}") from exc
-    ok, cert = is_no_signalling(corr, VALUE_TOL)
+    ok, cert = is_no_signalling(corr)
     if not ok:
         raise NumericError("no-signalling primal signals", residual=cert.worst)
     won = (game.win * corr.p).sum(axis=(2, 3)) / corr.p.sum(axis=(2, 3))
     value = min(max(float(np.sum(game.dist * won) / np.sum(game.dist)), 0.0), 1.0)
     excess = float(np.max(lp.objective - lp.a_eq.T @ dual))
-    if excess > VALUE_TOL:
+    if excess > INVARIANT_TOL:
         raise NumericError("no-signalling dual is infeasible", residual=excess)
-    bound = float(lp.b_eq @ dual)
-    if bound < value - VALUE_TOL:
-        raise NumericError("no-signalling dual bound is below the value",
-                           residual=value - bound)
+    gap = abs(float(lp.b_eq @ dual) - value)
+    if gap > INVARIANT_TOL:
+        raise NumericError("no-signalling dual bound differs from the value", residual=gap)
     return value, corr
 
 
@@ -246,9 +245,9 @@ class SeesawState:
     def __init__(self, dimension, alice, bob, psi, value, history=(), all_histories=()):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > FACTOR_TOL:
             raise ValidationError("unit state", residual=abs(norm - 1.0))
-        if not -1e-9 <= value <= 1.0 + 1e-9:
+        if not -INVARIANT_TOL <= value <= 1.0 + INVARIANT_TOL:
             raise ValidationError("objective in [0,1]", residual=float(value))
         psi.setflags(write=False)
         object.__setattr__(self, "dimension", int(dimension))

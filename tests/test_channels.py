@@ -21,7 +21,7 @@ from nsgames import (
     ucp_to_povm,
 )
 from nsgames import rand
-from nsgames.linalg import max_abs
+from nsgames.linalg import commutator_norm, max_abs
 
 from conftest import I2, PAULI_X, PAULI_Z, basis_pvm, pauli_pvm, trine_povm
 
@@ -35,6 +35,37 @@ class TestValidation:
         with pytest.raises(ValidationError, match="positive semidefinite"):
             Povm([np.diag([1.5, -0.5]).astype(complex),
                   np.diag([-0.5, 1.5]).astype(complex)])
+
+    def test_first_non_psd_effect_reported(self):
+        # effect 2 is the most negative, effect 1 the first below -tol
+        with pytest.raises(ValidationError, match="effect 1") as err:
+            Povm([np.diag([0.5, 0.5]), np.diag([1.0, -0.2]), np.diag([-0.5, 0.7])])
+        assert err.value.residual == -0.2
+
+    def test_first_non_hermitian_effect_reported(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="Hermitian") as err:
+            Povm([np.eye(2), 2e-8 * skew, 5e-8 * skew])
+        assert err.value.residual == 2e-8
+
+    def test_first_non_projection_reported(self):
+        # coordinate 1 is split 0.1 / 0.2 / 0.7: defects x(1 - x) = 0.09, 0.16, 0.21
+        with pytest.raises(ValidationError, match="projections") as err:
+            Pvm([np.diag([1.0, 0.0]), np.diag([0.0, 0.1]), np.diag([0.0, 0.2]),
+                 np.diag([0.0, 0.7])])
+        assert str(err.value).endswith(": effect 1")
+        assert err.value.residual == pytest.approx(0.09)
+
+    def test_first_non_orthogonal_pair_reported(self, monkeypatch):
+        # Projections summing to I are orthogonal, so only a Pvm whose POVM
+        # checks are skipped can fail here.  Pairs (0,2) and (1,2) overlap; (0,2) is first.
+        monkeypatch.setattr(Povm, "_validate", lambda self: None)
+        w = np.array([0.3, np.sqrt(0.91), 0.0])
+        effects = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.outer(w, w)]
+        with pytest.raises(ValidationError, match="orthogonal") as err:
+            Pvm(effects)
+        assert str(err.value).endswith(": effects 0,2")
+        assert err.value.residual == max_abs(effects[0] @ effects[2])
 
     def test_rejects_bad_completeness(self):
         with pytest.raises(ValidationError, match="sum to identity"):
@@ -116,7 +147,35 @@ class TestUcpCorrespondence:
             UcpOnFunctions([np.diag([0.5, 0.5]).astype(complex)])
 
 
+def channels_commute_loop(e, f):
+    """Reference by a four-deep loop: the first worst pair in the order x, y, a, b."""
+    worst, witness = 0.0, None
+    for x, pe in enumerate(e.povms):
+        for y, pf in enumerate(f.povms):
+            for a in range(pe.outcomes):
+                for b in range(pf.outcomes):
+                    r = commutator_norm(pe.effects[a], pf.effects[b])
+                    if r > worst:
+                        worst, witness = r, (x, a, y, b)
+    return worst, witness
+
+
 class TestCommutation:
+    def test_matches_loop(self, rng):
+        zx = FiniteChannel([pauli_pvm(PAULI_Z), pauli_pvm(PAULI_X)])
+        xz = FiniteChannel([pauli_pvm(PAULI_X), pauli_pvm(PAULI_Z)])
+        pairs = [(zx, xz), (xz, zx), (zx, zx)]  # exact ties between pairs
+        for _ in range(20):
+            dim = int(rng.integers(1, 4))
+            e, f = (FiniteChannel([Povm(rand.random_povm_effects(dim, int(k), rng))
+                                   for k in rng.integers(1, 5, size=int(rng.integers(1, 4)))])
+                    for _ in range(2))
+            pairs.append((e, f))
+        for e, f in pairs:
+            report = channels_commute(e, f)
+            assert (report.residual, report.witness) == channels_commute_loop(e, f)
+            assert report.commutes == (report.residual <= 1e-9)
+
     def test_identity_commutes(self):
         ok, residual = commutes_with(trine_povm(), I2)
         assert ok and residual == 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nsgames import (
+    Correlation,
     FiniteChannel,
     NumericError,
     Povm,
@@ -306,6 +307,16 @@ class TestCheckCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith("check local pass") and outputs[0].count("weight") > 1
+
+    @pytest.mark.parametrize("text", ["-1", "nan", "inf"])
+    def test_bad_tol_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "uniform.corr"
+        path.write_text(dump_correlation(Correlation(np.full((2, 2, 2, 2), 0.25))))
+        for test in ("ns", "local"):
+            with pytest.raises(SystemExit) as err:
+                main(["check", str(path), "--test", test, "--tol", text])
+            assert err.value.code == 2
+            assert "argument --tol: must be >= 0 and finite" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.corr"

@@ -300,7 +300,7 @@ class TestIsLocal:
                 assert len(f) == corr.nX and len(g) == corr.nY and w > 0
                 rebuilt += w * deterministic_correlation(f, g, corr.nA, corr.nB).p
             assert np.max(np.abs(rebuilt - corr.p)) <= 1e-8
-            is_local(corr, tol=0.0)  # certified within SUM_TOL: rounding does not raise
+            is_local(corr, tol=0.0)  # certified within INVARIANT_TOL: rounding does not raise
 
     def test_compact_gap_matches_vertex_lp(self, rng):
         # Oracle: the LP over every deterministic vertex, built here and

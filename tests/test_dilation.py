@@ -55,7 +55,7 @@ class TestNaimark:
         povm = Povm(rand.random_povm_effects(dim, outcomes, rand.generator(seed)))
         dil = naimark(povm)
         v = dil.isometry
-        assert max_abs(v.conj().T @ v - np.eye(dim)) <= 1e-10
+        assert dil.isometry_residual == max_abs(v.conj().T @ v - np.eye(dim)) <= 1e-10
         assert isinstance(dil.dilated, Pvm)
         assert dil.residual <= 1e-9
 
@@ -127,6 +127,7 @@ class TestJointCommutingDilation:
         dil = joint_commuting_dilation(e, f)
         assert dil.cross_residual <= 1e-10
         v = dil.isometry
+        assert dil.isometry_residual == max_abs(v.conj().T @ v - np.eye(4))
         for a in range(2):
             for b in range(2):
                 lhs = v.conj().T @ dil.pvm_p.effects[a] @ dil.pvm_q.effects[b] @ v

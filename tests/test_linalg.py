@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from nsgames import (
     psd_sqrt,
 )
 from nsgames import rand
-from nsgames.linalg import hermitize, max_abs
+from nsgames import ValidationError
+from nsgames.linalg import hermiticity_defect, hermitize, max_abs, require_hermitian
 
 from conftest import PAULI_X, PAULI_Z
 
@@ -21,6 +24,32 @@ from conftest import PAULI_X, PAULI_Z
 def random_hermitian(dim, rng):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return hermitize(m)
+
+
+class TestHermiticityStacks:
+    def test_identity_stack(self):
+        stack = np.stack([np.eye(2, dtype=complex)] * 2)
+        assert hermiticity_defect(stack) == 0.0
+        assert np.array_equal(require_hermitian(stack), stack)
+
+    def test_defect_of_worst_member(self, rng):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        stack = np.stack([random_hermitian(2, rng), random_hermitian(2, rng) + 0.25 * skew])
+        assert hermiticity_defect(stack) == hermiticity_defect(stack[1]) == 0.25
+
+    def test_first_offender_reported(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        stack = np.stack([0.1 * skew, 0.3 * skew])
+        with pytest.raises(ValidationError, match="Hermitian") as err:
+            require_hermitian(stack, tol=0.05)
+        assert err.value.residual == 0.1
+        nonfinite = np.stack([np.eye(2), np.full((2, 2), np.nan)]).astype(complex)
+        with pytest.raises(ValidationError, match="finite entries"):
+            require_hermitian(nonfinite)
+
+    def test_herm_eig_rejects_stack(self):
+        with pytest.raises(ValidationError, match="square matrix"):
+            herm_eig(np.stack([np.eye(2, dtype=complex)] * 2))
 
 
 class TestHermEig:
@@ -162,3 +191,11 @@ class TestCommutatorNorm:
     def test_pauli_xz(self):
         # XZ - ZX = [[0,-2],[2,0]]: max-entry 2, by direct 2x2 multiplication
         assert commutator_norm(PAULI_X, PAULI_Z) == pytest.approx(2.0)
+
+    def test_stacks_give_every_pair(self, rng):
+        a = np.stack([random_hermitian(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+        b = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        norms = commutator_norm(a, b)
+        assert norms.shape == (2, 3, 4)
+        for i, j, k in itertools.product(range(2), range(3), range(4)):
+            assert norms[i, j, k] == commutator_norm(a[i, j], b[k])

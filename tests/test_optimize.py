@@ -135,7 +135,7 @@ class TestNsValue:
         assert time.perf_counter() - start < 2.0
         assert value == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("corrupt", ["dual", "primal"])
+    @pytest.mark.parametrize("corrupt", ["dual", "primal", "suboptimal"])
     def test_failed_certificate_raises(self, monkeypatch, corrupt):
         from nsgames import NumericError, optimize
 
@@ -145,6 +145,9 @@ class TestNsValue:
             result = solve(lp)
             if corrupt == "dual":
                 return dataclasses.replace(result, dual=np.zeros_like(result.dual))
+            if corrupt == "suboptimal":  # the uniform box: feasible, payoff 1/2
+                return dataclasses.replace(result, x=np.where(np.arange(result.x.size) < 16,
+                                                              0.25, result.x))
             signalling = np.zeros_like(result.x)
             signalling[[0, 7, 8, 12]] = 1.0  # Alice's x=0 answer depends on y
             return dataclasses.replace(result, x=signalling)
