@@ -174,22 +174,17 @@ class FiniteChannel:
     def max_outcomes(self) -> int:
         return max(p.outcomes for p in self.povms)
 
-    def effect(self, outcome: int, inp: int) -> np.ndarray:
-        """E(a|x); zero operator for padded outcomes beyond the member's count."""
-        povm = self.povms[inp]
-        if outcome >= povm.outcomes:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return povm.effects[outcome]
-
     def padded(self, outcomes: int | None = None) -> "FiniteChannel":
         """Channel with every member zero-padded to a common outcome count."""
         target = self.max_outcomes if outcomes is None else outcomes
         return FiniteChannel([p.padded(target) for p in self.povms], name=self.name)
 
     def effects_array(self) -> np.ndarray:
-        """Dense (inputs, max_outcomes, dim, dim) array of effects."""
-        padded = self.padded()
-        return np.stack([p.effects for p in padded.povms])
+        """Dense (inputs, max_outcomes, dim, dim) array of effects, zero-padded."""
+        effects = np.zeros((self.inputs, self.max_outcomes, self.dim, self.dim), dtype=complex)
+        for x, povm in enumerate(self.povms):
+            effects[x, :povm.outcomes] = povm.effects
+        return effects
 
 
 def povm_to_ucp(povm: Povm) -> UcpOnFunctions:

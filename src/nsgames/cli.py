@@ -4,7 +4,7 @@ Subcommands: ``value`` (game values), ``sequence`` (asymptotic / inner value
 sequences), ``dilate`` (Naimark and joint commuting dilations), ``check``
 (no-signalling and locality tests on correlation dumps).
 
-Exit codes: 0 success, 2 parse error, 3 resource cap, 4 precondition
+Exit codes: 0 success, 2 parse error, 3 over a size budget, 4 precondition
 violation, 1 internal error.  Machine-format output is line oriented and
 stable across runs for fixed flags and rng seed; floats are printed with
 Python's shortest round-trip representation (at most 17 significant digits).
@@ -28,7 +28,7 @@ from .linalg import projection_defects
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_PARSE = 2
-EXIT_CAP = 3
+EXIT_TOO_LARGE = 3
 EXIT_PRECONDITION = 4
 
 
@@ -133,7 +133,7 @@ def cmd_sequence(args, out=None) -> int:
             row += f"  {e.running_max:>12.6f}"
         _print(out, row)
     if truncated:
-        _print(out, "(truncated: size cap reached)")
+        _print(out, "(truncated: size budget reached)")
     return EXIT_OK
 
 
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="value sequences over parallel repetition")
     p_seq.add_argument("game", help="game file")
     p_seq.add_argument("--mode", choices=("iid", "inner", "memory"), required=True)
-    p_seq.add_argument("--n-max", type=int, default=2, dest="n_max")
+    p_seq.add_argument("--n-max", type=_int_at_least(0), default=2, dest="n_max")
     p_seq.set_defaults(func=cmd_sequence)
 
     p_dil = sub.add_parser("dilate", parents=[common],
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_TOO_LARGE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -17,15 +17,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import FiniteChannel, channels_commute
-from .errors import (FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError,
-                     PreconditionError, TooLargeError, ValidationError)
+from .errors import (FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, WORK_BUDGET, NumericError,
+                     ParseError, PreconditionError, ValidationError, require_budget)
 from .simplex import LinearProgram, simplex_solve
 
-VERTEX_CAP = 10 ** 7
+
+class Alphabets:
+    """The alphabet sizes nX, nY, nA, nB of an object whose ``shape`` is
+    (nX, nY, nA, nB)."""
+
+    @property
+    def nX(self) -> int:
+        return self.shape[0]
+
+    @property
+    def nY(self) -> int:
+        return self.shape[1]
+
+    @property
+    def nA(self) -> int:
+        return self.shape[2]
+
+    @property
+    def nB(self) -> int:
+        return self.shape[3]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Correlation:
+class Correlation(Alphabets):
     """Conditional probability tensor p(a,b|x,y) with shape (nX, nY, nA, nB).
 
     Entries below -1e-12 are rejected; round-off negatives above that are
@@ -57,22 +76,6 @@ class Correlation:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.p.shape
-
-    @property
-    def nX(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def nY(self) -> int:
-        return self.p.shape[1]
-
-    @property
-    def nA(self) -> int:
-        return self.p.shape[2]
-
-    @property
-    def nB(self) -> int:
-        return self.p.shape[3]
 
     def __repr__(self) -> str:
         return f"Correlation(nX={self.nX}, nY={self.nY}, nA={self.nA}, nB={self.nB})"
@@ -281,12 +284,14 @@ def _membership_lp(p: np.ndarray):
 
     Returns (t*, fs, q): Alice's map tables and q shaped (maps, nY, nB).
     """
+    nX, nY, nA, nB = p.shape
+    n_f = nA ** nX
+    width, entries = n_f * nY * nB, p.size
+    require_budget((2 * entries + n_f * (nY - 1) + 1) * (width + 1), WORK_BUDGET,
+                   "local membership LP (dense rows x columns)")
     from scipy.sparse import csr_array
 
-    nX, nY, nA, nB = p.shape
     fs = _strategy_tables(nX, nA)
-    n_f = fs.shape[0]
-    width, entries = n_f * nY * nB, p.size
     # q[f, y, b] (column (f * nY + y) * nB + b) enters L at (x, f(x), y, b)
     # for every x, with the entries ordered (x, a, y, b); t is the last column.
     f_i, x_i, y_i, b_i = np.indices((n_f, nX, nY, nB)).reshape(4, -1)
@@ -338,25 +343,19 @@ def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport
     """Exact local-polytope membership by one linear program.
 
     The local polytope is the convex hull of the nA^nX * nB^nY deterministic
-    vertices (cap 10^7).  For finite alphabets it is also the set of
-    sum_f [a = f(x)] q_f(b|y): one party answers deterministically and the
-    other keeps a sub-normalized channel (Fine, PRL 48, 291 (1982)).  The LP
-    enumerates the maps of the party with fewer of them (transposing p to
-    put that party first) and minimizes the largest entrywise deviation t
-    between p and such a mixture; it is solved by HiGHS through
-    ``simplex.simplex_solve``.  Membership holds when t* <= ``tol``, and t*
-    is reported as the separation gap otherwise.  A local verdict carries
-    (f, g, weight) triples: each channel q_f is split into deterministic
-    maps by a shared quantile, and the triples must sum to 1 and rebuild p
-    within max(``tol``, ``INVARIANT_TOL``), or ``NumericError`` is raised.
+    vertices.  For finite alphabets it is also the set of sum_f [a = f(x)]
+    q_f(b|y): one party answers deterministically and the other keeps a
+    sub-normalized channel (Fine, PRL 48, 291 (1982)).  The LP enumerates the
+    maps of the party with fewer of them (transposing p to put that party
+    first) and minimizes the largest entrywise deviation t between p and such a
+    mixture; HiGHS solves it through ``simplex.simplex_solve`` within
+    ``errors.WORK_BUDGET``.  Membership holds when t* <= ``tol``, and t* is
+    reported as the separation gap otherwise.  A local verdict carries (f, g,
+    weight) triples: each channel q_f is split into deterministic maps by a
+    shared quantile, and the triples must sum to 1 and rebuild p within
+    max(``tol``, ``INVARIANT_TOL``), or ``NumericError`` is raised.
     """
-    nX, nY, nA, nB = corr.shape
-    n_f = nA ** nX
-    n_g = nB ** nY
-    if n_f * n_g > VERTEX_CAP:
-        raise TooLargeError(
-            f"deterministic vertex count {n_f * n_g} exceeds cap {VERTEX_CAP}")
-    swap = n_g < n_f
+    swap = corr.nB ** corr.nY < corr.nA ** corr.nX
     gap, fs, q = _membership_lp(corr.p.transpose(1, 0, 3, 2) if swap else corr.p)
     gap = max(gap, 0.0)
     if gap > tol:

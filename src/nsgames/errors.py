@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its four tolerances.
+"""Exception types, tolerances and size budgets shared across the package.
 
 The CLI maps the exceptions onto exit codes: ParseError -> 2,
 TooLargeError -> 3, PreconditionError -> 4, anything else -> 1.
@@ -19,6 +19,29 @@ invariant, PreconditionError for inputs outside an operation's domain, and
 NumericError for a computed result.  The see-saw's step thresholds, the
 ``tol`` defaults of ``is_local`` and ``marginal_A``/``marginal_B`` and the
 Gram-Schmidt floor of ``linalg.extend_isometry_to_unitary`` are separate.
+
+Each engine counts, from shapes, the units of what it would build before it
+allocates or imports scipy; ``require_budget`` refuses more than a budget.  No
+one count bounds both time and memory: the 10x10x2x2 membership LP must run
+and the chsh^5 orbit search must not.  Measured on 2 cores (R: a random
+2x2x2x2 base without relabelings; k: a game's relabelings):
+
+================  ===================================================================
+budget            units counted by each engine (a measured instance)
+================  ===================================================================
+``WORK_BUDGET``   ``local_value``: maps scanned, nA^(nX-1) per leading f(0) (memory(R)^2:
+(3e8, time)       1.67e7 in 0.18 s); ``top_deterministic_strategies``: nA^nX maps;
+                  dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
+                  10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
+                  from the shape when k = 0, else after the orbit search
+``ENTRY_BUDGET``  ``iterate``, ``product_game``: predicate entries; ``ns_value`` when
+(2.5e7, memory)   k > 0: orbit-search index entries, k (LP columns + rows), about
+                  65 B each (all_win(2,2,3,3)^2: 1.73e7, 1.1 GB; chsh^5: 3.9e7, 3 GB)
+================  ===================================================================
+
+A scanned map is a unit, not its work: the kernel adds nY nB numbers per
+map (64 for memory(R)^2), so the 1e8 maps of a 4x200x100x2 game (400 adds
+each) pass and take 20 s, where 3e8 maps of memory(R)^2 would take 3 s.
 """
 
 from __future__ import annotations
@@ -27,6 +50,9 @@ ROUNDING_TOL = 1e-12
 FACTOR_TOL = 1e-10
 INVARIANT_TOL = 1e-9
 SYMMETRIZE_TOL = 1e-8
+
+WORK_BUDGET = 3 * 10 ** 8
+ENTRY_BUDGET = 25 * 10 ** 6
 
 
 class ValidationError(ValueError):
@@ -77,7 +103,13 @@ class NumericError(RuntimeError):
 
 
 class TooLargeError(ValueError):
-    """A resource cap (enumeration size, tensor size) would be exceeded."""
+    """Work or memory would exceed a budget; raised by ``require_budget`` only."""
+
+
+def require_budget(units: int, budget: int, what: str) -> None:
+    """Raise ``TooLargeError`` when ``what`` needs more than ``budget`` units."""
+    if units > budget:
+        raise TooLargeError(f"{what} needs {units} units, over the budget of {budget}")
 
 
 class ParseError(ValueError):

@@ -26,18 +26,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimize
-from .correlations import Correlation, deterministic_correlation, from_qs
-from .errors import (INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError, TooLargeError,
-                     ValidationError)
+from .correlations import Alphabets, Correlation, deterministic_correlation, from_qs
+from .errors import (ENTRY_BUDGET, INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError,
+                     TooLargeError, ValidationError, require_budget)
 
-PREDICATE_CAP = 10 ** 9
 # Candidates nX! nY! (nA!)^nX (nB!)^nY the relabeling search tries; above it
 # the search finds none, which leaves the engines unreduced, never wrong.
 RELABELING_CAP = 10 ** 4
 
 
+def _question_dist(dist, shape: tuple, what: str) -> np.ndarray:
+    """``dist`` as a read-only float array of this shape, nonnegative and
+    summing to 1; ``what`` names the shape check."""
+    dist = np.array(dist, dtype=float)
+    if dist.shape != shape:
+        raise ValidationError(what, detail=f"{dist.shape} vs {shape}")
+    if float(dist.min()) < 0.0:
+        raise ValidationError("distribution nonnegative", residual=float(dist.min()))
+    defect = abs(float(dist.sum()) - 1.0)
+    if defect > ROUNDING_TOL:
+        raise ValidationError("distribution sums to 1", residual=defect)
+    dist.setflags(write=False)
+    return dist
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class FiniteGame:
+class FiniteGame(Alphabets):
     """Rule predicate ``win`` over (x,y,a,b) and question distribution ``dist``."""
 
     win: np.ndarray
@@ -48,19 +62,10 @@ class FiniteGame:
 
     def __init__(self, win, dist, name: str = ""):
         win = np.array(win, dtype=bool)
-        dist = np.array(dist, dtype=float)
         if win.ndim != 4:
             raise ValidationError("rank-4 predicate", detail=f"shape {win.shape}")
-        if dist.shape != win.shape[:2]:
-            raise ValidationError("distribution over question pairs",
-                                  detail=f"{dist.shape} vs {win.shape[:2]}")
-        if float(dist.min()) < 0.0:
-            raise ValidationError("distribution nonnegative", residual=float(dist.min()))
-        defect = abs(float(dist.sum()) - 1.0)
-        if defect > ROUNDING_TOL:
-            raise ValidationError("distribution sums to 1", residual=defect)
+        dist = _question_dist(dist, win.shape[:2], "distribution over question pairs")
         win.setflags(write=False)
-        dist.setflags(write=False)
         object.__setattr__(self, "win", win)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "name", name)
@@ -68,22 +73,6 @@ class FiniteGame:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.win.shape
-
-    @property
-    def nX(self) -> int:
-        return self.win.shape[0]
-
-    @property
-    def nY(self) -> int:
-        return self.win.shape[1]
-
-    @property
-    def nA(self) -> int:
-        return self.win.shape[2]
-
-    @property
-    def nB(self) -> int:
-        return self.win.shape[3]
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -118,18 +107,9 @@ class CylinderGame:
         if win.shape != expected:
             raise ValidationError("windowed predicate shape",
                                   detail=f"{win.shape} vs {expected}")
-        base_dist = np.array(base_dist, dtype=float)
-        if base_dist.shape != base_shape[:2]:
-            raise ValidationError("distribution over base question pairs",
-                                  detail=f"{base_dist.shape} vs {base_shape[:2]}")
-        if float(base_dist.min()) < 0.0:
-            raise ValidationError("distribution nonnegative",
-                                  residual=float(base_dist.min()))
-        defect = abs(float(base_dist.sum()) - 1.0)
-        if defect > ROUNDING_TOL:
-            raise ValidationError("distribution sums to 1", residual=defect)
+        base_dist = _question_dist(base_dist, base_shape[:2],
+                                   "distribution over base question pairs")
         win.setflags(write=False)
-        base_dist.setflags(write=False)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "base_shape", base_shape)
         object.__setattr__(self, "win", win)
@@ -198,9 +178,8 @@ def value(game: FiniteGame, kind: str, *, dim: int = 2, seeds: int = 20,
 
 def product_game(g1: FiniteGame, g2: FiniteGame) -> FiniteGame:
     """Product game: win both coordinates; questions drawn independently."""
-    size = int(np.prod([a * b for a, b in zip(g1.shape, g2.shape)], dtype=object))
-    if size > PREDICATE_CAP:
-        raise TooLargeError(f"product predicate would hold {size} entries")
+    require_budget(math.prod(a * b for a, b in zip(g1.shape, g2.shape)), ENTRY_BUDGET,
+                   "product predicate")
     win = np.logical_and(
         g1.win.reshape(g1.nX, 1, g1.nY, 1, g1.nA, 1, g1.nB, 1),
         g2.win.reshape(1, g2.nX, 1, g2.nY, 1, g2.nA, 1, g2.nB),
@@ -279,15 +258,9 @@ def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
     w = cylinder.window
     width = w + n - 1
     nX, nY, nA, nB = cylinder.base_shape
-    total = int(np.prod([int(s) ** width for s in cylinder.base_shape], dtype=object))
-    if total > PREDICATE_CAP:
-        raise TooLargeError(
-            f"iterate predicate would hold {total} entries (width {width})")
-
-    def group_axes(base: int) -> tuple[int, ...]:
-        return (base,) * width
-
-    multi_shape = group_axes(nX) + group_axes(nY) + group_axes(nA) + group_axes(nB)
+    require_budget(math.prod(s ** width for s in cylinder.base_shape), ENTRY_BUDGET,
+                   f"width-{width} iterate predicate")
+    multi_shape = (nX,) * width + (nY,) * width + (nA,) * width + (nB,) * width
     window_multi = cylinder.win.reshape((nX,) * w + (nY,) * w + (nA,) * w + (nB,) * w)
     result = np.ones(multi_shape, dtype=bool)
     for k in range(n):
@@ -343,7 +316,7 @@ def asymptotic_sequence(game: FiniteGame, kind: str, n_max: int,
                         **opts) -> tuple[list[SequenceEntry], bool]:
     """Normalized values of the n-fold parallel repetitions, n = 1..n_max.
 
-    Returns (entries, truncated); truncated is True when a size cap stopped
+    Returns (entries, truncated); truncated is True when a size budget stopped
     the sequence early.  Entries of kind "qs" are see-saw lower bounds.
     """
     return inner_value_sequence(embed(game), kind, n_max, **opts)
@@ -357,7 +330,7 @@ def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int, threads:
     contains the next); this is verified for the exact engines and a violation
     beyond 1e-9 raises, since it can only come from an engine defect.  Up to
     ``threads`` stages are computed at once, started in order of n; the first
-    stage over a size cap ends the sequence, and the entries do not depend on
+    stage over a budget ends the sequence, and the entries do not depend on
     ``threads``.
     """
     def stage_value(n: int) -> float:
@@ -375,7 +348,7 @@ def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int, threads:
                 raw = ahead.popleft().result()
             except TooLargeError:
                 truncated = True
-                break  # stages already started past the cap finish unread
+                break  # stages already started past the budget finish unread
             if n + window <= n_max:
                 ahead.append(pool.submit(stage_value, n + window))
             if kind != "qs" and previous is not None and raw > previous + INVARIANT_TOL:

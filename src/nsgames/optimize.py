@@ -7,17 +7,17 @@ Three engines live here:
   matrix.  HiGHS solves it through ``simplex.simplex_solve`` over the orbits
   of the game's relabelings (see ``games``); the answer is lifted back and
   certified on the full LP from both sides, by the primal correlation and by
-  a dual bound.  ``NS_LP_CAP`` (1e8) caps the solve time: larger LPs raise
-  ``TooLargeError`` before anything is built.
+  a dual bound.  The orbit search and the orbit LP each fit a budget in
+  ``errors`` (entries, work), checked before either is built.
 * ``local_value`` -- exact maximum over deterministic strategy pairs.  Alice's
-  maps are enumerated (cap 1e8) by the kernel in ``strategies``: a
-  meet-in-the-middle split of her input set, scored in exact integers when
-  the payoffs allow it (uniform questions) and in float64 otherwise.  Bob's
-  best reply, computed in closed form per question, gives the value.  The
-  enumeration order is row-major over (f(0), ..., f(nX-1)) with f(0) most
-  significant, and ties break to the lowest strategy index (exactly on the
-  integer path).  Only maps whose f(0) is an orbit minimum under the
-  relabelings are scanned, which keeps the lowest-index optimum.
+  maps, within ``errors.WORK_BUDGET``, are enumerated by the kernel in
+  ``strategies``: a meet-in-the-middle split of her input set, scored in exact
+  integers when the payoffs allow it (uniform questions) and in float64
+  otherwise.  Bob's best reply, computed in closed form per question, gives
+  the value.  The enumeration order is row-major over (f(0), ..., f(nX-1))
+  with f(0) most significant, and ties break to the lowest strategy index
+  (exactly on the integer path).  Only maps whose f(0) is an orbit minimum
+  under the relabelings are scanned, which keeps the lowest-index optimum.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state, returning a certified quantum-spatial
   lower bound (the certificate is an explicit finite-dimensional strategy).
@@ -36,16 +36,13 @@ import numpy as np
 from . import rand, strategies
 from .channels import FiniteChannel, Povm
 from .correlations import Correlation, is_no_signalling, qs_probabilities
-from .errors import FACTOR_TOL, INVARIANT_TOL, NumericError, TooLargeError, ValidationError
+from .errors import (ENTRY_BUDGET, FACTOR_TOL, INVARIANT_TOL, WORK_BUDGET, NumericError,
+                     TooLargeError, ValidationError, require_budget)
 from .linalg import hermitize
 from .simplex import LinearProgram, simplex_solve
 
 if TYPE_CHECKING:  # pragma: no cover
     from .games import FiniteGame
-
-LOCAL_ENUM_CAP = 10 ** 8
-# (nX nY + nX nA (nY-1) + nY nB (nX-1)) x nX nY nA nB: a solve-time cap
-NS_LP_CAP = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -61,30 +58,31 @@ def ns_value_lp(game: "FiniteGame") -> LinearProgram:
     per-(x,y) normalization, then sum_b p(a,b|x,y) - alpha[x,a] = 0 over
     (x,a,y) and sum_a p(a,b|x,y) - beta[y,b] = 0 over (y,b,x), all row-major,
     in one sparse CSR matrix that a relabeling of the game permutes by rows
-    and by columns.  ``NS_LP_CAP`` is checked before anything is built.
+    and by columns.  The size budgets are checked by ``ns_value``, not here.
     """
     from scipy.sparse import coo_array
 
     nX, nY, nA, nB = game.shape
     n_p = nX * nY * nA * nB
-    n_capped = nX * nY + nX * nA * (nY - 1) + nY * nB * (nX - 1)
-    if n_capped * n_p > NS_LP_CAP:
-        raise TooLargeError(
-            f"no-signalling LP would hold {n_capped} x {n_p} dense entries, over cap "
-            f"{NS_LP_CAP}")
+    n_rows, n_cols = _lp_size(game.shape)
     x, y, a, b = np.indices(game.shape).reshape(4, -1)
     (p, alpha, beta), (norm, alice, bob) = _lp_index(game.shape, x, y, a, b)
     first_b, first_a = b == 0, a == 0  # one marginal entry per Alice (Bob) row
     rows = np.concatenate([norm, alice, bob, alice[first_b], bob[first_a]])
     cols = np.concatenate([p, p, p, alpha[first_b], beta[first_a]])
     vals = np.concatenate([np.ones(3 * n_p), np.full(nX * nA * nY + nY * nB * nX, -1.0)])
-    n_rows = nX * nY + nX * nA * nY + nY * nB * nX
-    a_eq = coo_array((vals, (rows, cols)), shape=(n_rows, n_p + nX * nA + nY * nB)).tocsr()
+    a_eq = coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
     b_eq = np.zeros(n_rows)
     b_eq[: nX * nY] = 1.0
     objective = np.concatenate([(game.dist[:, :, None, None] * game.win).reshape(-1),
                                 np.zeros(nX * nA + nY * nB)])
     return LinearProgram(objective, a_eq=a_eq, b_eq=b_eq)
+
+
+def _lp_size(shape) -> tuple[int, int]:
+    """The rows and the columns of ``ns_value_lp`` for a game of this shape."""
+    nX, nY, nA, nB = shape
+    return nX * nY * (1 + nA + nB), nX * nY * nA * nB + nX * nA + nY * nB
 
 
 def _lp_index(shape, x, y, a, b) -> tuple[tuple, tuple]:
@@ -147,13 +145,21 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
     equals the primal's value: the dual check then fails unless that value
     is optimal.
     """
-    from scipy.sparse import coo_array
-
-    lp = ns_value_lp(game)
+    n_rows, n_cols = _lp_size(game.shape)
+    k = len(game.relabelings)
+    what = "no-signalling orbit LP (dense rows x columns)"
+    if k:  # the orbit search comes first, and the LP after its orbits fit
+        require_budget(k * (n_cols + n_rows), ENTRY_BUDGET, "no-signalling LP orbit search")
+    else:  # every orbit is one point: the orbit LP is the full LP
+        require_budget(n_rows * n_cols, WORK_BUDGET, what)
     col_labels, row_labels = _lp_orbits(game)
     col_reps, col_orbit = np.unique(col_labels, return_inverse=True)
     row_reps, row_orbit, row_sizes = np.unique(row_labels, return_inverse=True,
                                                return_counts=True)
+    require_budget(row_reps.size * col_reps.size, WORK_BUDGET, what)
+    from scipy.sparse import coo_array
+
+    lp = ns_value_lp(game)
     entries = lp.a_eq.tocoo()
     kept = row_labels[entries.row] == entries.row  # entries in a representative row
     a_eq = coo_array((entries.data[kept], (row_orbit[entries.row[kept]],
@@ -192,21 +198,15 @@ def _payoff_tensor(game: "FiniteGame") -> np.ndarray:
     return np.einsum("xy,xyab->xayb", game.dist, game.win.astype(float))
 
 
-def _check_local_cap(game: "FiniteGame") -> None:
-    if game.nA ** game.nX > LOCAL_ENUM_CAP:
-        raise TooLargeError(
-            f"deterministic enumeration size {game.nA}^{game.nX} exceeds cap "
-            f"{LOCAL_ENUM_CAP}; use ns_value for an upper bound instead")
-
-
 def local_value(game: "FiniteGame") -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact classical value and an optimal deterministic pair (f, g); only
     maps whose f(0) is an orbit minimum under relabelings fixing x = 0 are scanned."""
-    _check_local_cap(game)
     fixing_0 = [sa[0] for px, _, sa, _ in game.relabelings if px[0] == 0]
     labels = _orbit_labels(np.array(fixing_0, dtype=int).reshape(-1, game.nA))
-    value, f, g = strategies.argmax_strategy(
-        _payoff_tensor(game), leading=np.flatnonzero(labels == np.arange(game.nA)))
+    leading = np.flatnonzero(labels == np.arange(game.nA))
+    require_budget(leading.size * game.nA ** (game.nX - 1), WORK_BUDGET,
+                   "loc enumeration of Alice's maps (ns_value gives an upper bound)")
+    value, f, g = strategies.argmax_strategy(_payoff_tensor(game), leading=leading)
     return value, (f, g)
 
 
@@ -214,7 +214,7 @@ def top_deterministic_strategies(
     game: "FiniteGame", count: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
     """The ``count`` best deterministic pairs, ordered by value then f index."""
-    _check_local_cap(game)
+    require_budget(game.nA ** game.nX, WORK_BUDGET, "ranking of Alice's maps")
     ranked = strategies.top_strategies(_payoff_tensor(game), count)
     return [(f, g, value) for value, f, g in ranked]
 
@@ -343,9 +343,10 @@ def _seed_strategies(game: "FiniteGame", dim: int, seeds: int, rng_seed: int):
     large to rank deterministically fall back to all-random seeding.
     """
     n_det = seeds // 2
-    det: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if n_det > 0 and game.nA ** game.nX <= LOCAL_ENUM_CAP:
-        det = [(f, g) for f, g, _ in top_deterministic_strategies(game, n_det)]
+    try:
+        det = [(f, g) for f, g, _ in top_deterministic_strategies(game, n_det)] if n_det else []
+    except TooLargeError:
+        det = []
     keys = rand.derive_keys(rng_seed, seeds)
     strategies = []
     for i in range(seeds):

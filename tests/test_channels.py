@@ -99,6 +99,12 @@ class TestValidation:
         assert padded.outcomes == 4
         assert max_abs(padded.effects[3]) == 0.0
 
+    def test_effects_array_matches_padded_povms(self, rng):
+        channel = FiniteChannel([Povm(rand.random_povm_effects(3, k, rng)) for k in (2, 3, 4)])
+        old = np.stack([povm.effects for povm in channel.padded().povms])
+        new = channel.effects_array()
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+
 
 class TestUcpCorrespondence:
     def test_basis_pvm_diagonal_action(self):

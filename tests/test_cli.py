@@ -167,12 +167,28 @@ class TestSequenceCommand:
         assert "truncated 1" in out
 
     def test_ns_lp_cap_truncates(self, tmp_path, capsys):
-        # n = 3 would need a 3,088 x 46,656 dense NS LP, over the cap
+        # n = 3: the orbit search over 15,549 relabelings x 50,608 LP columns
+        # and rows is over ENTRY_BUDGET
         path = tmp_path / "wide.game"
         path.write_text(dump_game(all_win(2, 2, 3, 3)))
         assert main(["sequence", str(path), "--mode", "iid", "--type", "ns",
                      "--n-max", "3", "--format", "machine", "--threads", "1"]) == 0
         assert capsys.readouterr().out == "entry 1 1.0 1.0\nentry 2 1.0 1.0\ntruncated 1\n"
+
+    def test_memory_ns_n3_independent_of_threads(self, chsh_file, capsys):
+        # n = 3 is an 8,448 x 66,048 NS LP, solved over 3 x 18 orbits
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["sequence", chsh_file, "--mode", "memory", "--type", "ns", "--n-max",
+                         "3", "--format", "machine", "--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == "".join(f"entry {n} 1.0 1.0 1.0\n" for n in (1, 2, 3))
+
+    def test_negative_n_max_exit_2(self, chsh_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sequence", chsh_file, "--mode", "iid", "--type", "loc", "--n-max", "-2"])
+        assert err.value.code == 2
+        assert "argument --n-max: must be >= 0" in capsys.readouterr().err
 
     def test_ns_output_independent_of_threads(self, chsh_file, capsys):
         # n = 3 is chsh^3, a 960 x 4,096 NS LP; two threads solve stages concurrently
@@ -251,6 +267,14 @@ class TestDilateCommand:
 
 
 class TestCheckCommand:
+    def test_membership_lp_over_budget_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "wide.corr"
+        path.write_text(dump_correlation(Correlation(np.full((11, 11, 2, 2), 0.25))))
+        start = time.perf_counter()
+        assert main(["check", str(path), "--test", "local"]) == 3
+        assert time.perf_counter() - start < 0.1
+        assert "over the budget" in capsys.readouterr().err
+
     def test_pr_ns_pass(self, tmp_path, capsys):
         path = tmp_path / "pr.corr"
         path.write_text(dump_correlation(pr_box()))

@@ -330,8 +330,9 @@ class TestIsLocal:
         with pytest.raises(NumericError, match="rebuild" if corrupt == "rebuild" else "sum"):
             is_local(random_local(rng))
 
-    @pytest.mark.parametrize("shape,limit", [((4, 4, 4, 4), 2.0), ((2, 16, 2, 2), 1.0)],
-                             ids=["4^4", "2x16x2x2"])
+    @pytest.mark.parametrize("shape,limit", [((4, 4, 4, 4), 2.0), ((2, 16, 2, 2), 1.0),
+                                             ((2, 24, 2, 2), 1.0)],
+                             ids=["4^4", "2x16x2x2", "2x24x2x2"])
     def test_large_instances_are_fast(self, rng, shape, limit):
         is_local(random_local(rng))  # the LP layer's first call imports scipy
         corr = random_local(rng, shape)
@@ -341,9 +342,13 @@ class TestIsLocal:
         assert verdict
 
     def test_vertex_cap(self):
-        corr = Correlation(np.full((8, 8, 8, 8), 1.0 / 64))
-        with pytest.raises(TooLargeError):
-            is_local(corr)
+        # membership LPs over WORK_BUDGET dense rows x columns: 9.7e8 and 7.6e16
+        for shape in ((11, 11, 2, 2), (8, 8, 8, 8)):
+            corr = Correlation(np.full(shape, 1.0 / (shape[2] * shape[3])))
+            start = time.perf_counter()
+            with pytest.raises(TooLargeError, match="membership LP"):
+                is_local(corr)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestProductsAndSections:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,12 +109,32 @@ class TestNsValue:
     def test_lp_size_cap(self):
         from nsgames.optimize import ns_value_lp
 
-        # memory(chsh)^3 is over the cap: 7,936 capped rows x 65,536 entries
-        start = time.perf_counter()
-        with pytest.raises(TooLargeError, match="no-signalling LP"):
-            ns_value(iterate(memory_game(chsh()), 3))
-        assert time.perf_counter() - start < 1.0
+        # memory(chsh)^3: the full LP is 8,448 x 66,048, its orbit LP 3 x 18
+        value, corr = ns_value(iterate(memory_game(chsh()), 3))
+        assert value == 1.0 and corr.shape == (16, 16, 16, 16)
         assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (1088, 4224)
+
+    @pytest.mark.parametrize("case", ["memory(R0)^3", "memory(R0)^4", "chsh^5"])
+    def test_over_budget_refused_fast(self, case):
+        import scipy.optimize  # noqa: F401 - time the refusal, not the import
+
+        if case == "chsh^5":  # 35 relabelings x 1.1e6 LP columns and rows
+            stage = iterate(embed(chsh()), 5)
+        else:  # R0 has only the identity: its orbit LP is the full LP (8,448 x 66,048 at n = 3)
+            r0 = FiniteGame(np.random.default_rng(5).random((2, 2, 2, 2)) < 0.5,
+                            np.full((2, 2), 0.25))
+            stage = iterate(memory_game(r0), int(case[-1]))
+            assert stage.relabelings == ()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TooLargeError, match="no-signalling"):
+                ns_value(stage)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 10 ** 6  # refused from the shape alone
 
     def test_failing_game_solves(self):
         # a 6^4 game on which a dense tableau simplex lost primal feasibility

@@ -1,4 +1,5 @@
-"""Every tolerance lives in ``errors``: no other module defines one."""
+"""Every tolerance and size budget lives in ``errors``: no other module
+defines one, and only ``errors.require_budget`` raises ``TooLargeError``."""
 
 import ast
 import pathlib
@@ -23,10 +24,40 @@ def module_level_names(path):
             if isinstance(name, ast.Name)]
 
 
+def raised_names(path):
+    """Names of the exceptions that ``raise`` statements anywhere in the module
+    name, called or not, bare or as a module attribute."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(getattr(exc, "id", getattr(exc, "attr", None)))
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_tolerance_outside_errors(path):
     stray = [name for name in module_level_names(path) if name.endswith(("_TOL", "_FLOOR"))]
     assert not stray, f"{path.name} defines {stray}; name tolerances in errors.py"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_budget_outside_errors(path):
+    # RELABELING_CAP never raises: above it the relabeling search finds none
+    stray = [name for name in module_level_names(path) if name.endswith(("_CAP", "_BUDGET"))
+             and (path.name, name) != ("games.py", "RELABELING_CAP")]
+    assert not stray, f"{path.name} defines {stray}; name budgets in errors.py"
+    assert "TooLargeError" not in raised_names(path), \
+        f"{path.name} raises TooLargeError; call errors.require_budget"
+
+
+def test_errors_defines_two_budgets():
+    names = module_level_names(PACKAGE / "errors.py")
+    assert sorted(name for name in names if name.endswith(("_CAP", "_BUDGET"))) == [
+        "ENTRY_BUDGET", "WORK_BUDGET"]
+    errors.require_budget(errors.WORK_BUDGET, errors.WORK_BUDGET, "at the budget")
+    with pytest.raises(errors.TooLargeError, match="over the budget"):
+        errors.require_budget(errors.ENTRY_BUDGET + 1, errors.ENTRY_BUDGET, "one over")
 
 
 def test_errors_defines_four_tolerances():
