@@ -51,41 +51,35 @@ def _load_finite_game(path: str) -> games_mod.FiniteGame:
     return game
 
 
-def _print(out, line: str) -> None:
-    print(line, file=out)
-
-
-def cmd_value(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_value(args) -> int:
     game = _load_finite_game(args.game)
     report = games_mod.value(game, args.type, dim=args.d, seeds=args.seeds,
                              max_sweeps=args.sweeps, rng_seed=args.rng_seed)
     if args.format == "machine":
-        _print(out, f"value {report.kind} {_fmt(report.value)}")
+        print(f"value {report.kind} {_fmt(report.value)}")
         return EXIT_OK
     nX, nY, nA, nB = game.shape
-    _print(out, f"game: {args.game} ({nX}x{nY}x{nA}x{nB})")
+    print(f"game: {args.game} ({nX}x{nY}x{nA}x{nB})")
     if report.kind == "qs-lb":
-        _print(out, f"type: qs (lower bound, dimension {args.d}, "
-                    f"{args.seeds} seeds, {args.sweeps} sweeps)")
+        print(f"type: qs (lower bound, dimension {args.d}, "
+              f"{args.seeds} seeds, {args.sweeps} sweeps)")
         if nA > 2 or nB > 2:
-            _print(out, "note: measurement updates beyond two outcomes use a "
-                        "greedy ascent heuristic")
+            print("note: measurement updates beyond two outcomes use a "
+                  "greedy ascent heuristic")
     else:
-        _print(out, f"type: {report.kind} (exact)")
-    _print(out, f"value: {report.value:.6f}")
+        print(f"type: {report.kind} (exact)")
+    print(f"value: {report.value:.6f}")
     if report.kind == "loc":
         f, g = report.certificate
-        _print(out, f"certificate: deterministic strategies f={f} g={g}")
+        print(f"certificate: deterministic strategies f={f} g={g}")
     elif report.kind == "ns":
-        _print(out, "certificate: optimal no-signalling correlation")
+        print("certificate: optimal no-signalling correlation")
     else:
-        _print(out, f"certificate: see-saw strategy on C^{args.d} x C^{args.d}")
+        print(f"certificate: see-saw strategy on C^{args.d} x C^{args.d}")
     return EXIT_OK
 
 
-def cmd_sequence(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_sequence(args) -> int:
     loaded = games_mod.load_game(_read(args.game))
     if args.mode == "iid":
         if isinstance(loaded, games_mod.CylinderGame):
@@ -111,34 +105,33 @@ def cmd_sequence(args, out=None) -> int:
     if args.format == "machine":
         for e in entries:
             if with_running:
-                _print(out, f"entry {e.n} {_fmt(e.value)} {_fmt(e.normalized)} "
-                            f"{_fmt(e.running_max)}")
+                print(f"entry {e.n} {_fmt(e.value)} {_fmt(e.normalized)} "
+                      f"{_fmt(e.running_max)}")
             else:
-                _print(out, f"entry {e.n} {_fmt(e.value)} {_fmt(e.normalized)}")
+                print(f"entry {e.n} {_fmt(e.value)} {_fmt(e.normalized)}")
         if truncated:
-            _print(out, "truncated 1")
+            print("truncated 1")
         return EXIT_OK
     tag = "qs lower bound" if args.type == "qs" else args.type
     header = f"{'n':>3}  {'value':>12}  {'value^(1/n)':>12}"
     if with_running:
         header += f"  {'running max':>12}"
-    _print(out, f"sequence mode={args.mode} type={tag}")
+    print(f"sequence mode={args.mode} type={tag}")
     if args.type == "qs":
-        _print(out, "note: entries are see-saw lower bounds; measurement "
-                    "updates beyond two outcomes use a greedy ascent heuristic")
-    _print(out, header)
+        print("note: entries are see-saw lower bounds; measurement "
+              "updates beyond two outcomes use a greedy ascent heuristic")
+    print(header)
     for e in entries:
         row = f"{e.n:>3}  {e.value:>12.6f}  {e.normalized:>12.6f}"
         if with_running:
             row += f"  {e.running_max:>12.6f}"
-        _print(out, row)
+        print(row)
     if truncated:
-        _print(out, "(truncated: size budget reached)")
+        print("(truncated: size budget reached)")
     return EXIT_OK
 
 
-def cmd_dilate(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_dilate(args) -> int:
     if args.joint is not None:
         povm_e = load_povm(_read(args.povm))
         result = dilation_mod.joint_commuting_dilation(povm_e, load_povm(_read(args.joint)))
@@ -160,50 +153,49 @@ def cmd_dilate(args, out=None) -> int:
             ("reconstruction", result.residual)] + extra
     dilation_dim, dim = result.isometry.shape
     if args.format == "machine":
-        _print(out, f"dilation {label} K={dilation_dim} dim={dim}")
+        print(f"dilation {label} K={dilation_dim} dim={dim}")
         for name, value in rows:
-            _print(out, f"residual {name} {_fmt(value)}")
+            print(f"residual {name} {_fmt(value)}")
         for pvm in pvms:
-            _print(out, dump_povm(pvm).rstrip("\n"))
+            print(dump_povm(pvm).rstrip("\n"))
     else:
-        _print(out, f"{title} dilation: K = C^{dilation_dim}")
+        print(f"{title} dilation: K = C^{dilation_dim}")
         width = max(len(name) for name, _ in rows) + len(" residual:")
         for name, value in rows:
-            _print(out, f"  {name + ' residual:':<{width}} {value:.3e}")
+            print(f"  {name + ' residual:':<{width}} {value:.3e}")
     return EXIT_OK
 
 
-def cmd_check(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_check(args) -> int:
     corr = load_correlation(_read(args.corr))
     if args.test == "ns":
         ok, cert = is_no_signalling(corr, tol=args.tol)
         verdict = "pass" if ok else "fail"
         if args.format == "machine":
-            _print(out, f"check ns {verdict} {_fmt(cert.worst)}")
+            print(f"check ns {verdict} {_fmt(cert.worst)}")
         else:
-            _print(out, f"no-signalling: {verdict}")
-            _print(out, f"  worst Alice defect: {cert.max_alice:.3e}"
-                        + (f" at (x,a,y,y')={cert.witness_alice}" if cert.witness_alice else ""))
-            _print(out, f"  worst Bob defect:   {cert.max_bob:.3e}"
-                        + (f" at (y,b,x,x')={cert.witness_bob}" if cert.witness_bob else ""))
+            print(f"no-signalling: {verdict}")
+            print(f"  worst Alice defect: {cert.max_alice:.3e}"
+                  + (f" at (x,a,y,y')={cert.witness_alice}" if cert.witness_alice else ""))
+            print(f"  worst Bob defect:   {cert.max_bob:.3e}"
+                  + (f" at (y,b,x,x')={cert.witness_bob}" if cert.witness_bob else ""))
         return EXIT_OK
     local, report = is_local(corr, tol=args.tol)
     verdict = "pass" if local else "fail"
     if args.format == "machine":
-        _print(out, f"check local {verdict} {_fmt(report.gap)}")
+        print(f"check local {verdict} {_fmt(report.gap)}")
         for f, g, w in report.weights:
             f_str = ",".join(str(d) for d in f)
             g_str = ",".join(str(d) for d in g)
-            _print(out, f"weight f={f_str} g={g_str} w={_fmt(w)}")
+            print(f"weight f={f_str} g={g_str} w={_fmt(w)}")
     else:
         if local:
-            _print(out, f"local: pass (max deviation {report.gap:.3e})")
-            _print(out, f"  decomposition over {len(report.weights)} deterministic vertices:")
+            print(f"local: pass (max deviation {report.gap:.3e})")
+            print(f"  decomposition over {len(report.weights)} deterministic vertices:")
             for f, g, w in report.weights:
-                _print(out, f"    f={f} g={g} weight={w:.6f}")
+                print(f"    f={f} g={g} weight={w:.6f}")
         else:
-            _print(out, f"local: fail (infeasibility gap {report.gap:.6f})")
+            print(f"local: fail (infeasibility gap {report.gap:.6f})")
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ polytope by one linear program, in which the party with fewer deterministic
 maps answers deterministically and the other keeps a channel.
 
 Index convention (used consistently across games and the CLI): a pair (i, j)
-drawn from alphabets of sizes (n1, n2) is encoded row-major as i * n2 + j.
+drawn from alphabets of sizes (n1, n2) is encoded row-major as i * n2 + j;
+``strategies.map_digits`` decodes tuples and deterministic maps alike.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .channels import FiniteChannel, channels_commute
 from .errors import (FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, WORK_BUDGET, NumericError,
                      ParseError, PreconditionError, ValidationError, require_budget)
 from .simplex import LinearProgram, simplex_solve
+from .strategies import map_digits
 
 
 class Alphabets:
@@ -259,22 +261,8 @@ class LocalityReport:
 
 def deterministic_correlation(f, g, nA: int, nB: int) -> Correlation:
     """p(a,b|x,y) = [a = f(x)][b = g(y)] for deterministic strategies f, g."""
-    f = np.asarray(f, dtype=int)
-    g = np.asarray(g, dtype=int)
-    p = np.zeros((f.size, g.size, nA, nB))
-    p[np.arange(f.size)[:, None], np.arange(g.size)[None, :], f[:, None], g[None, :]] = 1.0
-    return Correlation(p)
-
-
-def _strategy_tables(n_inputs: int, n_outputs: int) -> np.ndarray:
-    """All deterministic maps as rows of digits, first input most significant."""
-    count = n_outputs ** n_inputs
-    idx = np.arange(count)
-    digits = np.empty((count, n_inputs), dtype=np.int64)
-    for pos in range(n_inputs):
-        power = n_outputs ** (n_inputs - 1 - pos)
-        digits[:, pos] = (idx // power) % n_outputs
-    return digits
+    return Correlation(np.einsum("xa,yb->xyab", np.eye(nA)[np.asarray(f, dtype=int)],
+                                 np.eye(nB)[np.asarray(g, dtype=int)]))
 
 
 def _membership_lp(p: np.ndarray):
@@ -291,7 +279,7 @@ def _membership_lp(p: np.ndarray):
                    "local membership LP (dense rows x columns)")
     from scipy.sparse import csr_array
 
-    fs = _strategy_tables(nX, nA)
+    fs = map_digits(np.arange(n_f), nX, nA)
     # q[f, y, b] (column (f * nY + y) * nB + b) enters L at (x, f(x), y, b)
     # for every x, with the entries ordered (x, a, y, b); t is the last column.
     f_i, x_i, y_i, b_i = np.indices((n_f, nX, nY, nB)).reshape(4, -1)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import FiniteChannel, Povm, Pvm, channels_commute
-from .errors import FACTOR_TOL, INVARIANT_TOL, SYMMETRIZE_TOL, PreconditionError, ValidationError
+from .errors import (ENTRY_BUDGET, FACTOR_TOL, INVARIANT_TOL, SYMMETRIZE_TOL, PreconditionError,
+                     ValidationError, require_budget)
 from .linalg import (commutator_norm, extend_isometry_to_unitary, first_above, hermitize,
                      isometry_defect, kron, max_abs, psd_sqrt)
 
@@ -106,6 +107,7 @@ class CommutingDilation:
 def _block_projections(dim: int, blocks: int) -> np.ndarray:
     """Coordinate-block projections on C^{dim*blocks}, shape (blocks, K, K)."""
     total = dim * blocks
+    require_budget((blocks * total) ** 2, ENTRY_BUDGET, "dilated PVM orthogonality check")
     effects = np.zeros((blocks, total, total), dtype=complex)
     for a in range(blocks):
         sl = slice(a * dim, (a + 1) * dim)

@@ -34,9 +34,15 @@ budget            units counted by each engine (a measured instance)
                   dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
                   10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
                   from the shape when k = 0, else after the orbit search
-``ENTRY_BUDGET``  ``iterate``, ``product_game``: predicate entries; ``ns_value`` when
-(2.5e7, memory)   k > 0: orbit-search index entries, k (LP columns + rows), about
-                  65 B each (all_win(2,2,3,3)^2: 1.73e7, 1.1 GB; chsh^5: 3.9e7, 3 GB)
+``WORK_BUDGET``   ``qs_seesaw``: one sweep, seeds d^4 (d^2 + nX nY nA nB) (chsh, 20 seeds:
+                  d = 12: 6.6e7, 0.21 s per sweep; d = 16: 3.6e8, 0.76 s per sweep)
+``ENTRY_BUDGET``  ``iterate``, ``product_game``, ``load_game`` (from the header): predicate
+(2.5e7, memory)   entries; ``ns_value`` when k > 0: orbit-search index entries, k (LP
+                  columns + rows), about 65 B each (all_win(2,2,3,3)^2: 1.73e7, 1.1 GB;
+                  chsh^5: 3.9e7, 3 GB)
+``ENTRY_BUDGET``  ``qs_seesaw``: strategy and state stacks, seeds d^2 (nX nA + nY nB + d^2)
+``ENTRY_BUDGET``  dilations: the dilated PVM's orthogonality check, k^2 K^2 entries for k
+                  outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB)
 ================  ===================================================================
 
 A scanned map is a unit, not its work: the kernel adds nY nB numbers per

@@ -6,7 +6,7 @@ bi-infinite sequence spaces with the product question measure; its n-th
 iterate intersects n backward-shifted copies of the winning set and is again
 a finite game, over tuple alphabets of width w + n - 1.  Tuple alphabets are
 always encoded row-major (first coordinate most significant), matching the
-correlation module.
+correlation module, and ``strategies.map_digits`` decodes them.
 
 A relabeling permutes the questions of each party and each party's answers
 per question, fixing ``win`` and ``dist``.  ``embed`` and ``memory_game``
@@ -29,6 +29,7 @@ from . import optimize
 from .correlations import Alphabets, Correlation, deterministic_correlation, from_qs
 from .errors import (ENTRY_BUDGET, INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError,
                      TooLargeError, ValidationError, require_budget)
+from .strategies import map_digits
 
 # Candidates nX! nY! (nA!)^nX (nB!)^nY the relabeling search tries; above it
 # the search finds none, which leaves the engines unreduced, never wrong.
@@ -291,9 +292,8 @@ def _lift(group: tuple, base_shape: tuple[int, ...], width: int) -> tuple:
         return ()
     px, py, sa, sb = (np.array(part) for part in zip(*group[1:]))
     # every coordinate of every tuple over each base alphabet, (tuples, width)
+    digits = dx, dy, da, db = [map_digits(np.arange(n ** width), width, n) for n in base_shape]
     places = [n ** np.arange(width - 1, -1, -1) for n in base_shape]
-    digits = dx, dy, da, db = [np.arange(n ** width)[:, None] // p % n
-                               for n, p in zip(base_shape, places)]
     images = (px[:, dx], py[:, dy], sa[:, dx[:, None], da], sb[:, dy[:, None], db])
     lifted = [np.moveaxis(np.arange(n ** width)[:, None] + (image - d) * p, -1, 0)
               .reshape(width * len(image), *image.shape[1:-1])
@@ -459,6 +459,8 @@ def load_game(text: str) -> FiniteGame | CylinderGame:
                 if window < 1:
                     raise ParseError("window must be >= 1", line=lineno)
             header = sizes
+            require_budget(math.prod(n ** (window or 1) for n in sizes), ENTRY_BUDGET,
+                           "game file predicate")
             continue
         if tokens[0] == "dist":
             if dist is not None:

@@ -328,13 +328,6 @@ def seesaw_state_update(operator: np.ndarray) -> np.ndarray:
     return vector / np.linalg.norm(vector, axis=-1, keepdims=True)
 
 
-def _deterministic_effects(strategy: tuple[int, ...], outcomes: int, dim: int) -> np.ndarray:
-    effects = np.zeros((len(strategy), outcomes, dim, dim), dtype=complex)
-    for x, a in enumerate(strategy):
-        effects[x, a] = np.eye(dim)
-    return effects
-
-
 def _seed_strategies(game: "FiniteGame", dim: int, seeds: int, rng_seed: int):
     """Initial strategies: half top deterministic embeddings, half noisy random.
 
@@ -351,9 +344,9 @@ def _seed_strategies(game: "FiniteGame", dim: int, seeds: int, rng_seed: int):
     strategies = []
     for i in range(seeds):
         if i < n_det and det:
-            f, g = det[i % len(det)]
-            alice = _deterministic_effects(f, game.nA, dim)
-            bob = _deterministic_effects(g, game.nB, dim)
+            f, g = det[i % len(det)]  # E(a|x) = [a = f(x)] I, and F(b|y) likewise
+            alice, bob = (np.einsum("xa,ij->xaij", np.eye(n, dtype=complex)[list(h)], np.eye(dim))
+                          for h, n in ((f, game.nA), (g, game.nB)))
             psi = np.zeros(dim * dim, dtype=complex)
             psi[0] = 1.0
         else:
@@ -379,7 +372,8 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
     stacked call of ``seesaw_measurement_update`` or ``seesaw_state_update``
     (whose greedy k-outcome step takes its complement bases from QR).  A seed
     stops when the relative gain over one sweep falls below 1e-10 and keeps its
-    own history.  Ties across seeds break to the lowest seed index.
+    own history.  Ties across seeds break to the lowest seed index.  One sweep's
+    work and the seeds' stacks are checked against the ``errors`` budgets first.
     """
     if dim < 1:
         raise ValidationError("dimension >= 1", residual=float(dim))
@@ -387,6 +381,9 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
         raise ValidationError("seeds >= 1", residual=float(seeds))
     if max_sweeps < 0:
         raise ValidationError("max_sweeps >= 0", residual=float(max_sweeps))
+    require_budget(seeds * dim ** 4 * (dim ** 2 + game.win.size), WORK_BUDGET, "see-saw sweep")
+    require_budget(seeds * dim ** 2 * (game.nX * game.nA + game.nY * game.nB + dim ** 2),
+                   ENTRY_BUDGET, "see-saw strategies and states")
     weight = game.dist[:, :, None, None] * game.win.astype(float)
     alice, bob, psi = (np.stack(part) for part in
                        zip(*_seed_strategies(game, dim, seeds, rng_seed)))

@@ -15,6 +15,7 @@ L = (question pairs) * 2^24, as for every uniform-question game, the scores
 are exact integers in the narrowest of int8/int16/int32 that holds them;
 otherwise they are float64.  Maps are indexed row-major, f(0) most
 significant; ties break to the lowest index, exactly on the integer path.
+``map_digits`` inverts this order, for maps and for tuple alphabets alike.
 Reported values always come from ``best_reply`` on T.
 
 ``argmax_strategy`` can scan only the maps whose f(0), the leading digit of
@@ -93,12 +94,11 @@ def scan_scores(tensor: np.ndarray, leading=None):
             yield start * n2, np.sum(m, axis=1, dtype=s.dtype, out=s).reshape(-1)
 
 
-def decode_strategy(index: int, n_inputs: int, n_outputs: int) -> tuple[int, ...]:
-    digits = []
-    for pos in range(n_inputs):
-        power = n_outputs ** (n_inputs - 1 - pos)
-        digits.append((index // power) % n_outputs)
-    return tuple(digits)
+def map_digits(index, n_inputs: int, n_outputs: int) -> np.ndarray:
+    """Map or tuple indices as digits, inverting the scan order: the new last
+    axis holds f(0), ..., f(n_inputs - 1), with f(0) most significant."""
+    places = n_outputs ** np.arange(n_inputs - 1, -1, -1)
+    return np.asarray(index)[..., None] // places % n_outputs
 
 
 def best_reply(tensor: np.ndarray, f: tuple[int, ...]) -> tuple[tuple[int, ...], float]:
@@ -121,7 +121,7 @@ def argmax_strategy(tensor: np.ndarray, leading=None
         if scores[j] > best_score:
             best_score = float(scores[j])
             best_index = offset + j
-    f = decode_strategy(best_index, tensor.shape[0], tensor.shape[1])
+    f = tuple(map_digits(best_index, *tensor.shape[:2]).tolist())
     g, value = best_reply(tensor, f)
     return value, f, g
 
@@ -138,8 +138,7 @@ def top_strategies(tensor: np.ndarray, count: int):
         keep = np.argsort(-scores, kind="stable")[:count]
         top_scores, top_indices = scores[keep], np.concatenate([top_indices, offset + new])[keep]
     out = []
-    for index in top_indices:
-        f = decode_strategy(int(index), tensor.shape[0], tensor.shape[1])
+    for f in map(tuple, map_digits(top_indices, *tensor.shape[:2]).tolist()):
         g, value = best_reply(tensor, f)
         out.append((value, f, g))
     return out

@@ -18,7 +18,7 @@ from nsgames import (
     load_povm,
     memory_game,
 )
-from nsgames import games
+from nsgames import games, rand
 from nsgames.cli import build_parser, main
 
 from conftest import basis_pvm, pauli_pvm, pr_box, trine_povm, PAULI_X, PAULI_Z
@@ -89,6 +89,25 @@ class TestValueCommand:
         path = tmp_path / "big.game"
         path.write_text("\n".join(lines) + "\n")
         assert main(["value", str(path), "--type", "loc"]) == 3
+
+    @pytest.mark.parametrize("header, argv", [
+        ("game 2 2 2 2 window 40", ["sequence", "--mode", "inner", "--type", "loc"]),
+        ("game 300 300 300 300", ["value", "--type", "loc"])])
+    def test_oversized_game_file_exit_3(self, tmp_path, capsys, header, argv):
+        pairs = int(header.split()[1]) * int(header.split()[2])
+        path = tmp_path / "huge.game"
+        path.write_text(f"{header}\ndist {' '.join([repr(1.0 / pairs)] * pairs)}\n")
+        start = time.perf_counter()
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 3
+        assert time.perf_counter() - start < 0.1
+        assert "game file predicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text", [("--d", "100"), ("--seeds", "1000000000")])
+    def test_oversized_seesaw_exit_3(self, chsh_file, capsys, flag, text):
+        start = time.perf_counter()
+        assert main(["value", chsh_file, "--type", "qs", flag, text]) == 3
+        assert time.perf_counter() - start < 0.1
+        assert "see-saw sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, text", [("--seeds", "0"), ("--seeds", "-2"), ("--d", "0"),
                                             ("--sweeps", "-1"), ("--threads", "0"),
@@ -256,6 +275,16 @@ class TestDilateCommand:
         cross = [line for line in out.splitlines()
                  if line.startswith("residual cross-commutation")]
         assert cross and float(cross[0].split()[2]) <= 1e-10
+
+    def test_oversized_dilation_exit_3(self, tmp_path, capsys):
+        # 64 outcomes on C^8: the dilated PVM lives on C^512, and checking
+        # its orthogonality would stack 64^2 products of 512x512 matrices.
+        path = tmp_path / "wide.povm"
+        path.write_text(dump_povm(Povm(rand.random_povm_effects(8, 64, rand.generator(1)))))
+        start = time.perf_counter()
+        assert main(["dilate", str(path)]) == 3
+        assert time.perf_counter() - start < 0.1
+        assert "orthogonality check" in capsys.readouterr().err
 
     def test_joint_non_commuting_exit_4(self, tmp_path, capsys):
         p1 = tmp_path / "z.povm"

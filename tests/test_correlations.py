@@ -112,6 +112,23 @@ class TestValidation:
             Correlation(np.full((1, 1, 2, 1), 0.6))
 
 
+def scattered_deterministic(f, g, nA, nB):
+    """Reference for ``deterministic_correlation``: ones scattered into zeros."""
+    f, g = np.asarray(f, dtype=int), np.asarray(g, dtype=int)
+    p = np.zeros((f.size, g.size, nA, nB))
+    p[np.arange(f.size)[:, None], np.arange(g.size)[None, :], f[:, None], g[None, :]] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 2, 2), (3, 2, 4, 3), (2, 3, 1, 5)])
+def test_deterministic_correlation_matches_scatter(shape):
+    nX, nY, nA, nB = shape
+    for f in itertools.product(range(nA), repeat=nX):
+        for g in itertools.product(range(nB), repeat=nY):
+            p = deterministic_correlation(f, g, nA, nB).p
+            assert p.tobytes() == scattered_deterministic(f, g, nA, nB).tobytes()
+
+
 class TestNoSignalling:
     def test_product_correlation_has_zero_defect(self, rng):
         q = rng.dirichlet(np.ones(2), size=2)

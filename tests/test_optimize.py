@@ -417,6 +417,27 @@ class TestStateUpdate:
         assert value == pytest.approx(np.cos(np.pi / 8) ** 2, abs=1e-9)
 
 
+def looped_deterministic_effects(strategy, outcomes, dim):
+    """Reference for the see-saw's deterministic seeds: E(a|x) = [a = f(x)] I."""
+    effects = np.zeros((len(strategy), outcomes, dim, dim), dtype=complex)
+    for x, a in enumerate(strategy):
+        effects[x, a] = np.eye(dim)
+    return effects
+
+
+@pytest.mark.parametrize("shape, dim", [((2, 2, 2, 2), 2), ((3, 2, 3, 4), 3), ((2, 3, 1, 2), 1)])
+def test_deterministic_seeds_match_loop(shape, dim):
+    from nsgames.optimize import _seed_strategies
+
+    game = random_game(shape, rand.generator(3), uniform_dist=True)
+    seeds = 8
+    ranked = top_deterministic_strategies(game, seeds // 2)
+    for (alice, bob, psi), (f, g, _) in zip(_seed_strategies(game, dim, seeds, 0), ranked):
+        assert alice.tobytes() == looped_deterministic_effects(f, game.nA, dim).tobytes()
+        assert bob.tobytes() == looped_deterministic_effects(g, game.nB, dim).tobytes()
+        assert psi[0] == 1.0 and not psi[1:].any()
+
+
 class TestSeesaw:
     def test_chsh_reaches_tsirelson(self):
         state = qs_seesaw(chsh(), dim=2, seeds=20, max_sweeps=200, rng_seed=0)
@@ -479,3 +500,19 @@ class TestSeesaw:
         game = product_game(chsh(), all_win(1, 1, 2, 2))
         state = qs_seesaw(game, dim=2, seeds=4, max_sweeps=30, rng_seed=5)
         assert state.value >= 0.75 - 1e-9
+
+    @pytest.mark.parametrize("dim, seeds, what", [(100, 20, "sweep"), (2, 10 ** 9, "sweep"),
+                                                  (40, 1, "sweep"), (2, 600_000, "strategies")])
+    def test_over_budget_refused_before_seeding(self, dim, seeds, what):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match=what):
+            qs_seesaw(chsh(), dim=dim, seeds=seeds)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("game, expected", [
+        (product_game(chsh(), chsh()), 0.6704311416336205),
+        (iterate(memory_game(chsh()), 2), 0.96875)])
+    def test_dimension_four_values_kept(self, game, expected):
+        state = qs_seesaw(game, dim=4, seeds=20)
+        assert state.value == pytest.approx(expected, abs=1e-12)
+

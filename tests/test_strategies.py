@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from nsgames import all_win, chsh, iterate, local_value, memory_game, never_win
 from nsgames.strategies import (
     argmax_strategy,
-    decode_strategy,
     kernel_weights,
+    map_digits,
     top_strategies,
 )
 
@@ -117,7 +117,7 @@ class TestTies:
         game = iterate(memory_game(all_win(2, 2, 2, 2)), 2)
         tensor = payoff_tensor(game.win, game.dist)
         ranked = top_strategies(tensor, 3)
-        assert [f for _, f, _ in ranked] == [decode_strategy(i, 8, 8) for i in range(3)]
+        assert [f for _, f, _ in ranked] == [tuple(map_digits(i, 8, 8)) for i in range(3)]
 
 
 class TestIntegerPath:
@@ -147,4 +147,24 @@ class TestPinned:
     def test_memory_chsh_squared(self):
         value, (f, g) = local_value(iterate(memory_game(chsh()), 2))
         assert value == 0.96875
-        assert f == decode_strategy(4117, 8, 8) == (0, 0, 0, 1, 0, 0, 2, 5)
+        assert f == tuple(map_digits(4117, 8, 8)) == (0, 0, 0, 1, 0, 0, 2, 5)
+
+
+class TestMapDigits:
+    @pytest.mark.parametrize("n_inputs, n_outputs", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 3),
+                                                     (3, 5)])
+    def test_product_order(self, n_inputs, n_outputs):
+        expected = list(itertools.product(range(n_outputs), repeat=n_inputs))
+        digits = map_digits(np.arange(len(expected)), n_inputs, n_outputs)
+        assert digits.shape == (len(expected), n_inputs)
+        assert [tuple(row) for row in digits.tolist()] == expected
+        for index in (0, len(expected) // 2, len(expected) - 1):
+            assert map_digits(index, n_inputs, n_outputs).shape == (n_inputs,)
+            assert tuple(map_digits(index, n_inputs, n_outputs).tolist()) == expected[index]
+
+    def test_index_array_shape(self):
+        index = np.arange(24).reshape(2, 3, 4)
+        digits = map_digits(index, 3, 3)
+        assert digits.shape == (2, 3, 4, 3)
+        assert (digits @ (3 ** np.arange(2, -1, -1)) == index).all()
+
