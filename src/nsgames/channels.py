@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (INVARIANT_TOL, SYMMETRIZE_TOL, NotPsdError, ParseError, PreconditionError,
-                     ValidationError)
+from .errors import (ENTRY_BUDGET, INVARIANT_TOL, SYMMETRIZE_TOL, NotPsdError, ParseError,
+                     PreconditionError, ValidationError, require_budget)
 from .linalg import (commutator_norm, first_above, max_abs, projection_defects,
                      require_hermitian)
 
@@ -299,13 +299,20 @@ def dump_channel(channel: FiniteChannel) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+class _ContentLines:
+    """(line number, content) by index for the lines left after comments are cut,
+    kept in two flat lists: a long file makes no object per line for the GC."""
+
+    def __init__(self, text: str):
+        rows = [raw.partition("#")[0].strip() for raw in text.splitlines()]
+        self.numbers = [lineno for lineno, row in enumerate(rows, start=1) if row]
+        self.rows = [row for row in rows if row]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> tuple[int, str]:
+        return self.numbers[index], self.rows[index]
 
 
 def _parse_header(line: str, lineno: int, kind: str, keys: tuple[str, ...]) -> dict[str, int]:
@@ -329,10 +336,11 @@ def _parse_header(line: str, lineno: int, kind: str, keys: tuple[str, ...]) -> d
     return values
 
 
-def _parse_povm_block(lines: list[tuple[int, str]], start: int, cls=Povm) -> tuple[Povm, int]:
+def _parse_povm_block(lines: _ContentLines, start: int, cls=Povm) -> tuple[Povm, int]:
     lineno, header = lines[start]
     fields = _parse_header(header, lineno, "povm", ("dim", "outcomes"))
     dim, outcomes = fields["dim"], fields["outcomes"]
+    require_budget(outcomes * dim * dim, ENTRY_BUDGET, "povm effects")
     needed = outcomes * dim
     if len(lines) - (start + 1) < needed:
         raise ParseError(f"povm block truncated: need {needed} matrix rows", line=lineno)
@@ -350,7 +358,10 @@ def _parse_povm_block(lines: list[tuple[int, str]], start: int, cls=Povm) -> tup
 
 
 def load_povm(text: str, cls=Povm) -> Povm:
-    lines = _content_lines(text)
+    return _load_povm_lines(_ContentLines(text), cls)
+
+
+def _load_povm_lines(lines: _ContentLines, cls=Povm) -> Povm:
     if not lines:
         raise ParseError("empty povm file", line=1)
     povm, pos = _parse_povm_block(lines, 0, cls=cls)
@@ -361,12 +372,12 @@ def load_povm(text: str, cls=Povm) -> Povm:
 
 def load_channel(text: str) -> FiniteChannel:
     """Parse a channel dump; a bare povm block loads as a one-input channel."""
-    lines = _content_lines(text)
+    lines = _ContentLines(text)
     if not lines:
         raise ParseError("empty channel file", line=1)
     lineno, header = lines[0]
     if header.split()[0] == "povm":
-        return FiniteChannel([load_povm(text)])
+        return FiniteChannel([_load_povm_lines(lines)])
     fields = _parse_header(header, lineno, "channel", ("dim", "inputs"))
     povms = []
     pos = 1

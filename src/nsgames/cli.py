@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 from . import dilation as dilation_mod
@@ -100,8 +99,7 @@ def cmd_sequence(args) -> int:
     if args.type == "qs":
         opts = dict(dim=args.d, seeds=args.seeds, max_sweeps=args.sweeps,
                     rng_seed=args.rng_seed)
-    entries, truncated = games_mod.inner_value_sequence(cylinder, args.type, args.n_max,
-                                                        threads=args.threads, **opts)
+    entries, truncated = games_mod.inner_value_sequence(cylinder, args.type, args.n_max, **opts)
     if args.format == "machine":
         for e in entries:
             if with_running:
@@ -227,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "machine"), default="table",
                         help="output style (default: table)")
-    common.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
-                        help="worker cap for parallel stages")
+    common.add_argument("--threads", type=_int_at_least(1), default=1,
+                        help="accepted and checked (>= 1); nsgames starts no worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     engine = argparse.ArgumentParser(add_help=False)

@@ -42,7 +42,8 @@ budget            units counted by each engine (a measured instance)
                   chsh^5: 3.9e7, 3 GB)
 ``ENTRY_BUDGET``  ``qs_seesaw``: strategy and state stacks, seeds d^2 (nX nA + nY nB + d^2)
 ``ENTRY_BUDGET``  dilations: the dilated PVM's orthogonality check, k^2 K^2 entries for k
-                  outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB)
+                  outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB); a povm block's
+                  effects, outcomes dim^2 entries, from its header line
 ================  ===================================================================
 
 A scanned map is a unit, not its work: the kernel adds nY nB numbers per

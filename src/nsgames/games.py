@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,43 +320,30 @@ def asymptotic_sequence(game: FiniteGame, kind: str, n_max: int,
     return inner_value_sequence(embed(game), kind, n_max, **opts)
 
 
-def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int, threads: int = 1,
+def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int,
                          **opts) -> tuple[list[SequenceEntry], bool]:
     """Values of the cylinder-game iterates with their n-th roots.
 
     The raw iterate values are non-increasing in n (each iterate's winning set
     contains the next); this is verified for the exact engines and a violation
-    beyond 1e-9 raises, since it can only come from an engine defect.  Up to
-    ``threads`` stages are computed at once, started in order of n; the first
-    stage over a budget ends the sequence, and the entries do not depend on
-    ``threads``.
+    beyond 1e-9 raises, since it can only come from an engine defect.  Stages
+    are computed one after another, in order of n, in the calling thread; the
+    first stage over a budget ends the sequence, and no later stage is started.
     """
-    def stage_value(n: int) -> float:
-        return value(iterate(cylinder, n), kind, **opts).value
-
     entries: list[SequenceEntry] = []
-    truncated = False
-    running = None
-    previous = None
-    window = max(1, threads)
-    with ThreadPoolExecutor(max_workers=window) as pool:
-        ahead = deque(pool.submit(stage_value, n) for n in range(1, min(window, n_max) + 1))
-        for n in range(1, n_max + 1):
-            try:
-                raw = ahead.popleft().result()
-            except TooLargeError:
-                truncated = True
-                break  # stages already started past the budget finish unread
-            if n + window <= n_max:
-                ahead.append(pool.submit(stage_value, n + window))
-            if kind != "qs" and previous is not None and raw > previous + INVARIANT_TOL:
-                raise NumericError("iterate values must be non-increasing",
-                                   residual=raw - previous)
-            previous = raw
-            normalized = raw ** (1.0 / n) if raw > 0.0 else 0.0
-            running = normalized if running is None else max(running, normalized)
-            entries.append(SequenceEntry(n, raw, normalized, running))
-    return entries, truncated
+    for n in range(1, n_max + 1):
+        try:
+            raw = value(iterate(cylinder, n), kind, **opts).value
+        except TooLargeError:
+            return entries, True
+        last = entries[-1] if entries else None
+        if kind != "qs" and last is not None and raw > last.value + INVARIANT_TOL:
+            raise NumericError("iterate values must be non-increasing",
+                               residual=raw - last.value)
+        normalized = raw ** (1.0 / n) if raw > 0.0 else 0.0
+        running = normalized if last is None else max(last.running_max, normalized)
+        entries.append(SequenceEntry(n, raw, normalized, running))
+    return entries, False
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +444,8 @@ def load_game(text: str) -> FiniteGame | CylinderGame:
                 if window < 1:
                     raise ParseError("window must be >= 1", line=lineno)
             header = sizes
-            require_budget(math.prod(n ** (window or 1) for n in sizes), ENTRY_BUDGET,
+            # 2 ** 25 > ENTRY_BUDGET: capping w at 25 keeps the verdict, cheaply
+            require_budget(math.prod(n ** min(window or 1, 25) for n in sizes), ENTRY_BUDGET,
                            "game file predicate")
             continue
         if tokens[0] == "dist":

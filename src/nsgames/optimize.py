@@ -109,11 +109,11 @@ def _orbit_labels(images: np.ndarray) -> np.ndarray:
 
 
 def _lp_orbits(game: "FiniteGame") -> list[np.ndarray]:
-    """Orbit labels of the columns and of the rows of ``ns_value_lp(game)``."""
+    """Orbit labels of the columns and of the rows of ``ns_value_lp(game)``,
+    for a game that carries relabelings."""
     nX, nY, nA, nB = game.shape
-    parts = zip(*game.relabelings) if game.relabelings else ((),) * 4
-    px, py, sa, sb = (np.array(part, dtype=int).reshape((-1, *shape))
-                      for part, shape in zip(parts, ((nX,), (nY,), (nX, nA), (nY, nB))))
+    px, py, sa, sb = (np.array(part, dtype=int).reshape((-1, *shape)) for part, shape
+                      in zip(zip(*game.relabelings), ((nX,), (nY,), (nX, nA), (nY, nB))))
     x, y, a, b = np.indices(game.shape).reshape(4, -1)
     before = _lp_index(game.shape, x, y, a, b)
     after = _lp_index(game.shape, px[:, x], py[:, y], sa[:, x, a], sb[:, y, b])
@@ -130,7 +130,8 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
     """Exact no-signalling value with an attaining correlation.
 
     HiGHS solves the LP over the orbits of the game's relabelings: the
-    columns of each orbit summed into one, one row kept per row orbit.  The
+    columns of each orbit summed into one, one row kept per row orbit (a game
+    that carries none is solved as the full LP, every orbit one point).  The
     answer is lifted back, p_v = z_(orbit of v) and y_r = y_R / |R|, exactly,
     since c, A and b are invariant, and checked on the full LP.  The primal
     must be a no-signalling ``Correlation``; the value is its payoff with
@@ -148,25 +149,28 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
     n_rows, n_cols = _lp_size(game.shape)
     k = len(game.relabelings)
     what = "no-signalling orbit LP (dense rows x columns)"
-    if k:  # the orbit search comes first, and the LP after its orbits fit
-        require_budget(k * (n_cols + n_rows), ENTRY_BUDGET, "no-signalling LP orbit search")
-    else:  # every orbit is one point: the orbit LP is the full LP
+    if not k:  # every orbit is one point: the orbit LP is the full LP
         require_budget(n_rows * n_cols, WORK_BUDGET, what)
-    col_labels, row_labels = _lp_orbits(game)
-    col_reps, col_orbit = np.unique(col_labels, return_inverse=True)
-    row_reps, row_orbit, row_sizes = np.unique(row_labels, return_inverse=True,
-                                               return_counts=True)
-    require_budget(row_reps.size * col_reps.size, WORK_BUDGET, what)
-    from scipy.sparse import coo_array
+        lp = reduced = ns_value_lp(game)
+        col_orbit, row_orbit, row_sizes = np.arange(n_cols), np.arange(n_rows), np.ones(n_rows)
+    else:  # the orbit search comes first, and the LP after its orbits fit
+        require_budget(k * (n_cols + n_rows), ENTRY_BUDGET, "no-signalling LP orbit search")
+        col_labels, row_labels = _lp_orbits(game)
+        col_reps, col_orbit = np.unique(col_labels, return_inverse=True)
+        row_reps, row_orbit, row_sizes = np.unique(row_labels, return_inverse=True,
+                                                   return_counts=True)
+        require_budget(row_reps.size * col_reps.size, WORK_BUDGET, what)
+        from scipy.sparse import coo_array
 
-    lp = ns_value_lp(game)
-    entries = lp.a_eq.tocoo()
-    kept = row_labels[entries.row] == entries.row  # entries in a representative row
-    a_eq = coo_array((entries.data[kept], (row_orbit[entries.row[kept]],
-                                           col_orbit[entries.col[kept]])),
-                     shape=(row_reps.size, col_reps.size)).tocsr()
-    result = simplex_solve(LinearProgram(np.bincount(col_orbit, weights=lp.objective),
-                                         a_eq=a_eq, b_eq=lp.b_eq[row_reps]))
+        lp = ns_value_lp(game)
+        entries = lp.a_eq.tocoo()
+        kept = row_labels[entries.row] == entries.row  # entries in a representative row
+        a_eq = coo_array((entries.data[kept], (row_orbit[entries.row[kept]],
+                                               col_orbit[entries.col[kept]])),
+                         shape=(row_reps.size, col_reps.size)).tocsr()
+        reduced = LinearProgram(np.bincount(col_orbit, weights=lp.objective),
+                                a_eq=a_eq, b_eq=lp.b_eq[row_reps])
+    result = simplex_solve(reduced)
     if result.status != "optimal":  # pragma: no cover - polytope is nonempty
         raise NumericError(f"no-signalling LP ended with status {result.status}")
     dual = result.dual[row_orbit] / row_sizes[row_orbit]
@@ -329,37 +333,40 @@ def seesaw_state_update(operator: np.ndarray) -> np.ndarray:
 
 
 def _seed_strategies(game: "FiniteGame", dim: int, seeds: int, rng_seed: int):
-    """Initial strategies: half top deterministic embeddings, half noisy random.
+    """Initial (alice, bob, psi) stacks over the seeds: half top deterministic
+    embeddings, half noisy random.
 
     The deterministic half guarantees the final lower bound dominates the
     classical value (the see-saw never decreases the objective).  Games too
-    large to rank deterministically fall back to all-random seeding.
+    large to rank deterministically fall back to all-random seeding.  Each random
+    seed draws eta_a, eta_b, its bases' Gaussians, its state; one QR serves all.
     """
+    nX, nY, nA, nB = game.shape
     n_det = seeds // 2
     try:
         det = [(f, g) for f, g, _ in top_deterministic_strategies(game, n_det)] if n_det else []
     except TooLargeError:
         det = []
-    keys = rand.derive_keys(rng_seed, seeds)
-    strategies = []
-    for i in range(seeds):
-        if i < n_det and det:
-            f, g = det[i % len(det)]  # E(a|x) = [a = f(x)] I, and F(b|y) likewise
-            alice, bob = (np.einsum("xa,ij->xaij", np.eye(n, dtype=complex)[list(h)], np.eye(dim))
-                          for h, n in ((f, game.nA), (g, game.nB)))
-            psi = np.zeros(dim * dim, dtype=complex)
-            psi[0] = 1.0
-        else:
-            rng = rand.generator(keys[i])
-            eta_a = rng.uniform(0.5, 1.0)
-            eta_b = rng.uniform(0.5, 1.0)
-            alice = np.stack([rand.noisy_basis_povm_effects(dim, game.nA, eta_a, rng)
-                              for _ in range(game.nX)])
-            bob = np.stack([rand.noisy_basis_povm_effects(dim, game.nB, eta_b, rng)
-                            for _ in range(game.nY)])
-            psi = rand.random_state(dim * dim, rng)
-        strategies.append((alice, bob, psi))
-    return strategies
+    n_det = n_det if det else 0
+    alice = np.empty((seeds, nX, nA, dim, dim), dtype=complex)
+    bob = np.empty((seeds, nY, nB, dim, dim), dtype=complex)
+    psi = np.zeros((seeds, dim * dim), dtype=complex)
+    for i in range(n_det):
+        f, g = det[i % len(det)]  # E(a|x) = [a = f(x)] I, and F(b|y) likewise
+        alice[i], bob[i] = (np.einsum("xa,ij->xaij", np.eye(n, dtype=complex)[list(h)], np.eye(dim))
+                            for h, n in ((f, nA), (g, nB)))
+        psi[i, 0] = 1.0
+    etas, gauss = [], []
+    for i, key in enumerate(rand.derive_keys(rng_seed, seeds)[n_det:], start=n_det):
+        rng = rand.generator(key)
+        etas.append((rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)))
+        gauss.append(rng.standard_normal((nX + nY, 2, dim, dim)))
+        psi[i] = rand.random_state(dim * dim, rng)
+    etas, gauss = np.array(etas), np.array(gauss)
+    bases = rand.random_unitaries(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+    alice[n_det:] = rand.noisy_basis_effects(bases[:, :nX], nA, etas[:, :1])
+    bob[n_det:] = rand.noisy_basis_effects(bases[:, nX:], nB, etas[:, 1:])
+    return alice, bob, psi
 
 
 def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
@@ -373,7 +380,8 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
     (whose greedy k-outcome step takes its complement bases from QR).  A seed
     stops when the relative gain over one sweep falls below 1e-10 and keeps its
     own history.  Ties across seeds break to the lowest seed index.  One sweep's
-    work and the seeds' stacks are checked against the ``errors`` budgets first.
+    work and the seeds' stacks are checked against the ``errors`` budgets first;
+    the random seeds' bases then come from one stacked QR (``_seed_strategies``).
     """
     if dim < 1:
         raise ValidationError("dimension >= 1", residual=float(dim))
@@ -385,8 +393,7 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
     require_budget(seeds * dim ** 2 * (game.nX * game.nA + game.nY * game.nB + dim ** 2),
                    ENTRY_BUDGET, "see-saw strategies and states")
     weight = game.dist[:, :, None, None] * game.win.astype(float)
-    alice, bob, psi = (np.stack(part) for part in
-                       zip(*_seed_strategies(game, dim, seeds, rng_seed)))
+    alice, bob, psi = _seed_strategies(game, dim, seeds, rng_seed)
 
     def values(a, b, p):
         return (weight * qs_probabilities(a, b, p)).reshape(len(p), -1).sum(axis=1)

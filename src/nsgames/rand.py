@@ -4,7 +4,8 @@ Reproducibility contract: every stochastic entry point takes an explicit
 64-bit seed.  Per-task streams are derived with splitmix64 (a documented,
 platform-independent mixer), and the derived keys seed numpy PCG64 generators
 for bulk sampling.  Given the same seed and numpy version, runs are
-bit-identical.
+bit-identical.  ``random_unitaries`` factors a whole stack of Gaussian draws
+at once, so a caller draws per stream and makes one QR call for all of them.
 """
 
 from __future__ import annotations
@@ -39,13 +40,19 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary: QR of a complex Gaussian with phase fixing."""
-    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_unitaries(gauss: np.ndarray) -> np.ndarray:
+    """Haar-ish random unitaries from a (..., d, d) stack of complex Gaussians:
+    one stacked QR, each column's phase fixed by the diagonal of R."""
     q, r = np.linalg.qr(gauss)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One random unitary from 2 dim^2 standard normal draws (real parts first)."""
+    gauss = rng.standard_normal((2, dim, dim))
+    return random_unitaries(gauss[0] + 1j * gauss[1])
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,27 +78,17 @@ def random_povm_effects(dim: int, outcomes: int, rng: np.random.Generator) -> np
     return (effects + np.conj(np.transpose(effects, (0, 2, 1)))) / 2.0
 
 
-def random_pvm_effects(dim: int, outcomes: int, rng: np.random.Generator) -> np.ndarray:
-    """Random PVM: a rotated coordinate basis grouped into ``outcomes`` blocks.
-
-    When outcomes > dim the trailing effects are zero projections.
-    """
-    unitary = random_unitary(dim, rng)
-    blocks = np.array_split(np.arange(dim), outcomes) if outcomes <= dim else [
-        np.array([i]) for i in range(dim)
-    ] + [np.array([], dtype=int)] * (outcomes - dim)
-    effects = np.zeros((outcomes, dim, dim), dtype=complex)
-    for a, idx in enumerate(blocks):
-        for i in idx:
-            col = unitary[:, i]
-            effects[a] += np.outer(col, col.conj())
-    return effects
-
-
-def noisy_basis_povm_effects(
-    dim: int, outcomes: int, eta: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Rotated-basis PVM mixed with white noise: eta*P_a + (1-eta)*I/outcomes."""
-    pvm = random_pvm_effects(dim, outcomes, rng)
-    eye = np.eye(dim, dtype=complex) / outcomes
-    return eta * pvm + (1.0 - eta) * eye[None, :, :]
+def noisy_basis_effects(unitaries: np.ndarray, outcomes: int, eta: np.ndarray) -> np.ndarray:
+    """eta P_a + (1 - eta) I/outcomes, (..., outcomes, d, d), for (..., d, d)
+    ``unitaries`` and ``eta`` broadcasting against their leading axes.  P_a
+    projects onto the a-th block of columns of ``np.array_split(range(d),
+    outcomes)``: when outcomes > d the trailing effects are zero projections."""
+    dim = unitaries.shape[-1]
+    quotient, extra = divmod(dim, outcomes)
+    labels = np.repeat(np.arange(outcomes), quotient + (np.arange(outcomes) < extra))
+    pvm = np.zeros((*unitaries.shape[:-2], outcomes, dim, dim), dtype=complex)
+    for i, a in enumerate(labels.tolist()):
+        col = unitaries[..., :, i]
+        pvm[..., a, :, :] += col[..., :, None] * col.conj()[..., None, :]
+    eta = np.asarray(eta)[..., None, None, None]
+    return eta * pvm + (1.0 - eta) * (np.eye(dim, dtype=complex) / outcomes)

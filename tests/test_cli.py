@@ -92,7 +92,8 @@ class TestValueCommand:
 
     @pytest.mark.parametrize("header, argv", [
         ("game 2 2 2 2 window 40", ["sequence", "--mode", "inner", "--type", "loc"]),
-        ("game 300 300 300 300", ["value", "--type", "loc"])])
+        ("game 300 300 300 300", ["value", "--type", "loc"]),
+        ("game 2 3 2 2 window 10000000", ["sequence", "--mode", "inner", "--type", "loc"])])
     def test_oversized_game_file_exit_3(self, tmp_path, capsys, header, argv):
         pairs = int(header.split()[1]) * int(header.split()[2])
         path = tmp_path / "huge.game"
@@ -210,7 +211,7 @@ class TestSequenceCommand:
         assert "argument --n-max: must be >= 0" in capsys.readouterr().err
 
     def test_ns_output_independent_of_threads(self, chsh_file, capsys):
-        # n = 3 is chsh^3, a 960 x 4,096 NS LP; two threads solve stages concurrently
+        # n = 3 is chsh^3, a 960 x 4,096 NS LP
         outputs = []
         start = time.perf_counter()
         for threads in ("1", "2"):
@@ -219,6 +220,19 @@ class TestSequenceCommand:
             outputs.append(capsys.readouterr().out)
         assert time.perf_counter() - start < 5.0
         assert outputs[0] == outputs[1] == "entry 1 1.0 1.0\nentry 2 1.0 1.0\nentry 3 1.0 1.0\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sequence_starts_no_thread(self, chsh_file, capsys, monkeypatch, threads):
+        import threading
+
+        def refuse(thread):
+            raise AssertionError("a sequence stage started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["sequence", chsh_file, "--mode", "memory", "--type", "loc", "--n-max", "2",
+                     "--format", "machine", "--threads", threads]) == 0
+        assert capsys.readouterr().out == "entry 1 1.0 1.0 1.0\nentry 2 0.96875 " \
+            "0.9842509842514764 1.0\n"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_rising_values_raise_numeric_error(self, chsh_file, monkeypatch, threads):
@@ -285,6 +299,17 @@ class TestDilateCommand:
         assert main(["dilate", str(path)]) == 3
         assert time.perf_counter() - start < 0.1
         assert "orthogonality check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [0, 100_000])
+    def test_oversized_povm_header_exit_3(self, tmp_path, capsys, rows):
+        # one 100,000 x 100,000 complex effect would take 149 GiB; the header
+        # alone, or with 100,000 one-entry rows (200 KB), is refused
+        path = tmp_path / "huge.povm"
+        path.write_text("povm dim=100000 outcomes=1\n" + "0\n" * rows)
+        start = time.perf_counter()
+        assert main(["dilate", str(path)]) == 3
+        assert time.perf_counter() - start < 0.1
+        assert "povm effects" in capsys.readouterr().err
 
     def test_joint_non_commuting_exit_4(self, tmp_path, capsys):
         p1 = tmp_path / "z.povm"

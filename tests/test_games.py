@@ -29,6 +29,7 @@ from nsgames import (
     value,
 )
 from nsgames import games, rand
+from nsgames.errors import ENTRY_BUDGET
 
 from conftest import pr_box
 
@@ -338,21 +339,50 @@ class TestSequences:
         entries, truncated = asymptotic_sequence(chsh(), "loc", 0)
         assert entries == [] and not truncated
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_stops_at_first_cap(self, monkeypatch, threads):
+    @pytest.mark.parametrize("capped_n", [1, 2, 3])
+    def test_stops_at_first_cap(self, monkeypatch, capped_n):
         started = []
         exact = games.value
+        uncapped, _ = inner_value_sequence(embed(chsh()), "loc", capped_n - 1)
 
         def capped(stage, kind, **opts):  # the chsh stage at n has nX = 2^n
             started.append(stage.nX)
-            if stage.nX > 4:
+            if stage.nX >= 2 ** capped_n:
                 raise TooLargeError("over cap")
             return exact(stage, kind, **opts)
 
         monkeypatch.setattr(games, "value", capped)
-        entries, truncated = inner_value_sequence(embed(chsh()), "loc", 6, threads=threads)
-        assert truncated and [e.value for e in entries] == [0.75, 0.625]
-        assert len(started) <= 2 + threads
+        entries, truncated = inner_value_sequence(embed(chsh()), "loc", 6)
+        assert truncated and [e.value for e in entries] == [e.value for e in uncapped]
+        assert started == [2 ** n for n in range(1, capped_n + 1)]
+
+    def test_stages_run_in_calling_thread(self, monkeypatch):
+        import threading
+
+        def refuse(thread):
+            raise AssertionError("a sequence stage started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        entries, truncated = inner_value_sequence(memory_game(chsh()), "ns", 2)
+        assert [e.value for e in entries] == [1.0, 1.0] and not truncated
+        entries, _ = asymptotic_sequence(chsh(), "loc", 2)
+        assert [e.value for e in entries] == [0.75, 0.625]
+
+
+class TestHugeWindowHeaders:
+    @pytest.mark.parametrize("header, win_size", [("game 1 1 1 1 window 10000000", 1),
+                                                  ("game 2 1 1 1 window 24", 2 ** 24),
+                                                  ("game 2 2 2 2 window 4", 2 ** 16)])
+    def test_admitted_headers_still_load(self, header, win_size):
+        pairs = int(header.split()[1]) * int(header.split()[2])
+        game = load_game(f"{header}\ndist {' '.join([repr(1.0 / pairs)] * pairs)}\n")
+        assert isinstance(game, CylinderGame) and game.win.size == win_size
+
+    @pytest.mark.parametrize("header", ["game 2 1 1 1 window 25", "game 1 1 1 2 window 40"])
+    def test_over_budget_headers_still_refused(self, header):
+        assert 2 ** 25 > ENTRY_BUDGET  # so the capped exponent keeps every verdict
+        with pytest.raises(TooLargeError, match="game file predicate"):
+            load_game(f"{header}\ndist 1.0\n")
 
 
 class TestValidationAndFormat:

@@ -205,6 +205,29 @@ class TestNsValue:
         assert np.array_equal(dense[:, 24:].sum(axis=0), [-3.0] * 4 + [-2.0] * 6)
         assert np.array_equal(dense[:6].sum(axis=1), np.full(6, 4.0))
 
+    @pytest.mark.parametrize("shape, seed", [((2, 2, 2, 2), 1), ((3, 2, 3, 2), 2), ((2, 3, 2, 4), 3)])
+    def test_no_relabelings_skips_orbit_bookkeeping(self, monkeypatch, shape, seed):
+        # reference: the same game carrying only the identity, solved over
+        # one-point orbits through the orbit bookkeeping
+        from nsgames import dump_game, load_game, optimize
+
+        game = load_game(dump_game(random_game(shape, rand.generator(seed))))
+        nX, nY, nA, nB = shape
+        identity = (np.arange(nX), np.arange(nY), np.tile(np.arange(nA), (nX, 1)),
+                    np.tile(np.arange(nB), (nY, 1)))
+        carrying = FiniteGame(game.win, game.dist)
+        object.__setattr__(carrying, "relabelings", (identity,))
+        expected, expected_corr = ns_value(carrying)
+
+        def refuse(game):
+            raise AssertionError("orbit bookkeeping for a game without relabelings")
+
+        monkeypatch.setattr(optimize, "_lp_orbits", refuse)
+        assert not game.relabelings
+        value, corr = ns_value(game)
+        assert value == expected
+        assert corr.p.tobytes() == expected_corr.p.tobytes()
+
     def test_corrupted_group_raises(self):
         from nsgames import NumericError
 
@@ -432,10 +455,76 @@ def test_deterministic_seeds_match_loop(shape, dim):
     game = random_game(shape, rand.generator(3), uniform_dist=True)
     seeds = 8
     ranked = top_deterministic_strategies(game, seeds // 2)
-    for (alice, bob, psi), (f, g, _) in zip(_seed_strategies(game, dim, seeds, 0), ranked):
+    for alice, bob, psi, (f, g, _) in zip(*_seed_strategies(game, dim, seeds, 0), ranked):
         assert alice.tobytes() == looped_deterministic_effects(f, game.nA, dim).tobytes()
         assert bob.tobytes() == looped_deterministic_effects(g, game.nB, dim).tobytes()
         assert psi[0] == 1.0 and not psi[1:].any()
+
+
+def looped_unitary(dim, rng):
+    """Reference for ``rand.random_unitary``: one QR per matrix, real parts drawn first."""
+    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(gauss)
+    diag = np.diagonal(r).copy()
+    diag[np.abs(diag) < 1e-300] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+def looped_noisy_basis_effects(dim, outcomes, eta, rng):
+    """Reference for one seed's noisy-basis POVM: a rotated basis grouped into
+    ``outcomes`` blocks, mixed with white noise."""
+    unitary = looped_unitary(dim, rng)
+    effects = np.zeros((outcomes, dim, dim), dtype=complex)
+    for a, idx in enumerate(np.array_split(np.arange(dim), outcomes)):
+        for i in idx:
+            effects[a] += np.outer(unitary[:, i], unitary[:, i].conj())
+    return eta * effects + (1.0 - eta) * np.eye(dim, dtype=complex)[None] / outcomes
+
+
+def looped_random_seeds(game, dim, keys):
+    """Reference for the see-saw's random seeds, one seed and one matrix at a time."""
+    strategies = []
+    for key in keys:
+        rng = rand.generator(key)
+        eta_a, eta_b = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+        alice = np.stack([looped_noisy_basis_effects(dim, game.nA, eta_a, rng)
+                          for _ in range(game.nX)])
+        bob = np.stack([looped_noisy_basis_effects(dim, game.nB, eta_b, rng)
+                        for _ in range(game.nY)])
+        strategies.append((alice, bob, rand.random_state(dim * dim, rng)))
+    return strategies
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_random_unitary_matches_loop(dim):
+    gen, ref = rand.generator(dim), rand.generator(dim)
+    for _ in range(3):
+        assert rand.random_unitary(dim, gen).tobytes() == looped_unitary(dim, ref).tobytes()
+
+
+def test_stacked_unitaries_match_loop():
+    gauss = rand.generator(4).standard_normal((3, 2, 2, 4, 4))
+    stacked = rand.random_unitaries(gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :])
+    ref = rand.generator(4)
+    looped = np.array([[looped_unitary(4, ref) for _ in range(2)] for _ in range(3)])
+    assert stacked.tobytes() == looped.tobytes()
+
+
+@pytest.mark.parametrize("game, dim, seeds", [
+    (chsh(), 2, 20), (chsh(), 1, 3), (product_game(chsh(), chsh()), 4, 20),
+    (iterate(memory_game(chsh()), 2), 4, 20), (random_game((3, 3, 3, 3), rand.generator(7)), 2, 6),
+    (random_game((1, 2, 5, 3), rand.generator(8)), 3, 5), (never_win(12, 1, 6, 1), 2, 4)])
+def test_random_seeds_match_loop(game, dim, seeds):
+    # outcomes > d, d = 1, nX = 1; 6^12 maps are too many to rank, so every
+    # seed of never_win(12, 1, 6, 1) is random
+    from nsgames.errors import WORK_BUDGET
+    from nsgames.optimize import _seed_strategies
+
+    alice, bob, psi = _seed_strategies(game, dim, seeds, 11)
+    n_random = seeds if game.nA ** game.nX > WORK_BUDGET else seeds - seeds // 2
+    looped = looped_random_seeds(game, dim, rand.derive_keys(11, seeds)[seeds - n_random:])
+    for stacked, parts in zip((alice, bob, psi), zip(*looped)):
+        assert stacked[seeds - n_random:].tobytes() == np.stack(parts).tobytes()
 
 
 class TestSeesaw:
