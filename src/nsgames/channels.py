@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import textfile
 from .errors import (ENTRY_BUDGET, INVARIANT_TOL, SYMMETRIZE_TOL, NotPsdError, ParseError,
                      PreconditionError, ValidationError, require_budget)
 from .linalg import (commutator_norm, first_above, max_abs, projection_defects,
@@ -267,8 +268,9 @@ def channels_commute(e: FiniteChannel, f: FiniteChannel) -> CommutationReport:
 #
 # where each entry is "<re>,<im>" in C99 hex-float notation, giving lossless
 # round-trips at full double precision.  A channel is a "channel dim=<d>
-# inputs=<m>" header followed by its member POVM blocks.  Blank lines and
-# lines starting with '#' are ignored.
+# inputs=<m>" header followed by its member POVM blocks.  The loaders read
+# through ``textfile.ContentLines``, so '#' comments and blank lines are
+# allowed.
 # ---------------------------------------------------------------------------
 
 
@@ -276,12 +278,9 @@ def _format_entry(value: complex) -> str:
     return f"{float(value.real).hex()},{float(value.imag).hex()}"
 
 
-def _parse_entry(token: str, lineno: int) -> complex:
-    try:
-        re_part, im_part = token.split(",")
-        return complex(float.fromhex(re_part), float.fromhex(im_part))
-    except ValueError as exc:
-        raise ParseError(f"bad matrix entry {token!r}", line=lineno) from exc
+def _parse_entry(token: str) -> complex:
+    re_part, im_part = token.split(",")
+    return complex(float.fromhex(re_part), float.fromhex(im_part))
 
 
 def dump_povm(povm: Povm) -> str:
@@ -299,96 +298,53 @@ def dump_channel(channel: FiniteChannel) -> str:
     return "\n".join(parts) + "\n"
 
 
-class _ContentLines:
-    """(line number, content) by index for the lines left after comments are cut,
-    kept in two flat lists: a long file makes no object per line for the GC."""
-
-    def __init__(self, text: str):
-        rows = [raw.partition("#")[0].strip() for raw in text.splitlines()]
-        self.numbers = [lineno for lineno, row in enumerate(rows, start=1) if row]
-        self.rows = [row for row in rows if row]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index: int) -> tuple[int, str]:
-        return self.numbers[index], self.rows[index]
+def _parse_header(lines: textfile.ContentLines, index: int, kind: str,
+                  keys: tuple[str, str]) -> list[int]:
+    """The two sizes named ``keys`` on a ``<kind> <key>=<n> <key>=<n>`` line."""
+    lineno, tokens = lines.header(index, kind)
+    fields = dict(token.partition("=")[::2] for token in tokens[1:])
+    if not fields.keys() >= set(keys):
+        raise ParseError(f"expected '{kind} {keys[0]}=<n> {keys[1]}=<n>'", line=lineno)
+    return textfile.sizes([fields[key] for key in keys], 2, lineno)
 
 
-def _parse_header(line: str, lineno: int, kind: str, keys: tuple[str, ...]) -> dict[str, int]:
-    tokens = line.split()
-    if not tokens or tokens[0] != kind:
-        raise ParseError(f"expected {kind!r} header, got {line!r}", line=lineno)
-    values: dict[str, int] = {}
-    for token in tokens[1:]:
-        if "=" not in token:
-            raise ParseError(f"bad header field {token!r}", line=lineno)
-        key, _, val = token.partition("=")
-        try:
-            values[key] = int(val)
-        except ValueError as exc:
-            raise ParseError(f"bad header value {token!r}", line=lineno) from exc
-    for key in keys:
-        if key not in values:
-            raise ParseError(f"missing header field {key!r}", line=lineno)
-        if values[key] < 1:
-            raise ParseError(f"header field {key!r} must be positive", line=lineno)
-    return values
-
-
-def _parse_povm_block(lines: _ContentLines, start: int, cls=Povm) -> tuple[Povm, int]:
-    lineno, header = lines[start]
-    fields = _parse_header(header, lineno, "povm", ("dim", "outcomes"))
-    dim, outcomes = fields["dim"], fields["outcomes"]
-    require_budget(outcomes * dim * dim, ENTRY_BUDGET, "povm effects")
-    needed = outcomes * dim
-    if len(lines) - (start + 1) < needed:
-        raise ParseError(f"povm block truncated: need {needed} matrix rows", line=lineno)
-    effects = np.zeros((outcomes, dim, dim), dtype=complex)
-    pos = start + 1
-    for a in range(outcomes):
-        for i in range(dim):
-            row_lineno, row = lines[pos]
-            tokens = row.split()
-            if len(tokens) != dim:
-                raise ParseError(f"expected {dim} entries, got {len(tokens)}", line=row_lineno)
-            effects[a, i] = [_parse_entry(tok, row_lineno) for tok in tokens]
-            pos += 1
-    return cls(effects), pos
+def _parse_povm_blocks(lines: textfile.ContentLines, start: int, count: int,
+                       cls=Povm) -> list[Povm]:
+    """``count`` povm blocks, from content line ``start`` to the end of the text."""
+    povms = []
+    for _ in range(count):
+        dim, outcomes = _parse_header(lines, start, "povm", ("dim", "outcomes"))
+        require_budget(outcomes * dim * dim, ENTRY_BUDGET, "povm effects")
+        end = start + 1 + outcomes * dim
+        if len(lines) < end:
+            raise ParseError(f"povm block truncated: need {outcomes * dim} matrix rows",
+                             line=lines.numbers[start])
+        effects = np.zeros((outcomes * dim, dim), dtype=complex)
+        for i, pos in enumerate(range(start + 1, end)):
+            effects[i] = textfile.row(lines.rows[pos].split(), dim, _parse_entry,
+                                      lines.numbers[pos])
+        povms.append(textfile.checked(lines.numbers[start], cls,
+                                      effects.reshape(outcomes, dim, dim)))
+        start = end
+    if start != len(lines):
+        raise ParseError("trailing content after the last povm block",
+                         line=lines.numbers[start])
+    return povms
 
 
 def load_povm(text: str, cls=Povm) -> Povm:
-    return _load_povm_lines(_ContentLines(text), cls)
-
-
-def _load_povm_lines(lines: _ContentLines, cls=Povm) -> Povm:
-    if not lines:
-        raise ParseError("empty povm file", line=1)
-    povm, pos = _parse_povm_block(lines, 0, cls=cls)
-    if pos != len(lines):
-        raise ParseError("trailing content after povm block", line=lines[pos][0])
-    return povm
+    return _parse_povm_blocks(textfile.ContentLines(text), 0, 1, cls)[0]
 
 
 def load_channel(text: str) -> FiniteChannel:
     """Parse a channel dump; a bare povm block loads as a one-input channel."""
-    lines = _ContentLines(text)
-    if not lines:
-        raise ParseError("empty channel file", line=1)
-    lineno, header = lines[0]
-    if header.split()[0] == "povm":
-        return FiniteChannel([_load_povm_lines(lines)])
-    fields = _parse_header(header, lineno, "channel", ("dim", "inputs"))
-    povms = []
-    pos = 1
-    for _ in range(fields["inputs"]):
-        if pos >= len(lines):
-            raise ParseError("channel block truncated", line=lines[-1][0])
-        povm, pos = _parse_povm_block(lines, pos)
-        if povm.dim != fields["dim"]:
-            raise ParseError(f"member dim {povm.dim} != channel dim {fields['dim']}",
-                             line=lineno)
-        povms.append(povm)
-    if pos != len(lines):
-        raise ParseError("trailing content after channel block", line=lines[pos][0])
+    lines = textfile.ContentLines(text)
+    if not lines or lines.rows[0].split()[0] != "channel":
+        return FiniteChannel(_parse_povm_blocks(lines, 0, 1))
+    dim, inputs = _parse_header(lines, 0, "channel", ("dim", "inputs"))
+    povms = _parse_povm_blocks(lines, 1, inputs)
+    for povm in povms:
+        if povm.dim != dim:
+            raise ParseError(f"member dim {povm.dim} != channel dim {dim}",
+                             line=lines.numbers[0])
     return FiniteChannel(povms)

@@ -4,10 +4,11 @@ Subcommands: ``value`` (game values), ``sequence`` (asymptotic / inner value
 sequences), ``dilate`` (Naimark and joint commuting dilations), ``check``
 (no-signalling and locality tests on correlation dumps).
 
-Exit codes: 0 success, 2 parse error, 3 over a size budget, 4 precondition
-violation, 1 internal error.  Machine-format output is line oriented and
-stable across runs for fixed flags and rng seed; floats are printed with
-Python's shortest round-trip representation (at most 17 significant digits).
+Exit codes: 0 success, 2 parse error (an unreadable file, or file content
+that breaks an invariant), 3 over a size budget, 4 precondition violation,
+1 internal error.  Machine-format output is line oriented and stable across
+runs for fixed flags and rng seed; floats are printed with Python's shortest
+round-trip representation (at most 17 significant digits).
 """
 
 from __future__ import annotations
@@ -79,21 +80,14 @@ def cmd_value(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    loaded = games_mod.load_game(_read(args.game))
-    if args.mode == "iid":
-        if isinstance(loaded, games_mod.CylinderGame):
-            raise ParseError(f"{args.game}: mode iid expects a finite game")
-        cylinder = games_mod.embed(loaded)
-        with_running = False
-    elif args.mode == "inner":
+    if args.mode == "inner":
+        loaded = games_mod.load_game(_read(args.game))
         cylinder = (loaded if isinstance(loaded, games_mod.CylinderGame)
                     else games_mod.embed(loaded))
-        with_running = True
-    else:  # memory
-        if isinstance(loaded, games_mod.CylinderGame):
-            raise ParseError(f"{args.game}: mode memory expects a finite game")
-        cylinder = games_mod.memory_game(loaded)
-        with_running = True
+    else:
+        game = _load_finite_game(args.game)
+        cylinder = (games_mod.embed if args.mode == "iid" else games_mod.memory_game)(game)
+    with_running = args.mode != "iid"
 
     opts = {}
     if args.type == "qs":

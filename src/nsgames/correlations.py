@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textfile
 from .channels import FiniteChannel, channels_commute
 from .errors import (FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, WORK_BUDGET, NumericError,
                      ParseError, PreconditionError, ValidationError, require_budget)
@@ -408,7 +409,8 @@ def section(corr: Correlation, first_sizes: tuple[int, int, int, int],
 # ---------------------------------------------------------------------------
 # Text dump: header "corr nX nY nA nB"; one line per (x, y) in row-major
 # order carrying the nA*nB probabilities ordered a*nB + b, printed with 17
-# significant digits.
+# significant digits.  ``load_correlation`` reads it through
+# ``textfile.ContentLines``, so '#' comments and blank lines are allowed.
 # ---------------------------------------------------------------------------
 
 
@@ -421,37 +423,12 @@ def dump_correlation(corr: Correlation) -> str:
 
 
 def load_correlation(text: str) -> Correlation:
-    rows = []
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            tokens = line.split()
-            if len(tokens) != 5 or tokens[0] != "corr":
-                raise ParseError("expected header 'corr nX nY nA nB'", line=lineno)
-            try:
-                header = tuple(int(t) for t in tokens[1:])
-            except ValueError as exc:
-                raise ParseError("bad alphabet size", line=lineno) from exc
-            if any(n < 1 for n in header):
-                raise ParseError("alphabet sizes must be positive", line=lineno)
-            continue
-        try:
-            values = [float(t) for t in line.split()]
-        except ValueError as exc:
-            raise ParseError("bad probability entry", line=lineno) from exc
-        if len(values) != header[2] * header[3]:
-            raise ParseError(
-                f"expected {header[2] * header[3]} probabilities, got {len(values)}",
-                line=lineno)
-        rows.append(values)
-    if header is None:
-        raise ParseError("empty correlation file", line=1)
-    nX, nY, nA, nB = header
+    lines = textfile.ContentLines(text)
+    start, tokens = lines.header(0, "corr")
+    nX, nY, nA, nB = textfile.sizes(tokens[1:], 4, start)
+    rows = [textfile.row(line.split(), nA * nB, float, lineno)
+            for lineno, line in zip(lines.numbers[1:], lines.rows[1:])]
     if len(rows) != nX * nY:
         raise ParseError(f"expected {nX * nY} probability lines, got {len(rows)}",
-                         line=len(text.splitlines()))
-    p = np.array(rows, dtype=float).reshape(nX, nY, nA, nB)
-    return Correlation(p)
+                         line=lines.number(len(lines)))
+    return textfile.checked(start, Correlation, np.array(rows).reshape(nX, nY, nA, nB))

@@ -1,7 +1,10 @@
 """Exception types, tolerances and size budgets shared across the package.
 
 The CLI maps the exceptions onto exit codes: ParseError -> 2,
-TooLargeError -> 3, PreconditionError -> 4, anything else -> 1.
+TooLargeError -> 3, PreconditionError -> 4, anything else -> 1.  A file's
+content that breaks an object's invariant is a ParseError too: the loaders
+build through ``textfile.checked``, which re-raises the ValidationError at
+the object's first line.
 
 Every threshold the package applies is one of these, sized for:
 

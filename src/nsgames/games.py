@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optimize
+from . import optimize, textfile
 from .correlations import Alphabets, Correlation, deterministic_correlation, from_qs
 from .errors import (ENTRY_BUDGET, INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError,
                      TooLargeError, ValidationError, require_budget)
@@ -40,10 +40,10 @@ def _question_dist(dist, shape: tuple, what: str) -> np.ndarray:
     dist = np.array(dist, dtype=float)
     if dist.shape != shape:
         raise ValidationError(what, detail=f"{dist.shape} vs {shape}")
-    if float(dist.min()) < 0.0:
+    if not float(dist.min()) >= 0.0:  # NaN fails too
         raise ValidationError("distribution nonnegative", residual=float(dist.min()))
     defect = abs(float(dist.sum()) - 1.0)
-    if defect > ROUNDING_TOL:
+    if not defect <= ROUNDING_TOL:
         raise ValidationError("distribution sums to 1", residual=defect)
     dist.setflags(write=False)
     return dist
@@ -410,85 +410,44 @@ def dump_game(game: FiniteGame | CylinderGame) -> str:
 def load_game(text: str) -> FiniteGame | CylinderGame:
     """Parse the game file format.
 
-    Line 1: ``game nX nY nA nB`` with an optional ``window w`` suffix (the
-    cylinder case; the predicate is then over the windowed tuple alphabets).
-    Line 2: ``dist`` followed by the nX*nY question probabilities row-major.
-    Then one ``win x y a b`` line per winning quadruple.  '#' starts a
-    comment; blank lines are ignored.
+    First content line: ``game nX nY nA nB`` with an optional ``window w``
+    suffix (the cylinder case; the predicate is then over the windowed tuple
+    alphabets).
+    Then, in any order, ``dist`` followed by the nX*nY question probabilities
+    row-major, and one ``win x y a b`` line per winning quadruple.  Comments
+    and blank lines are cut by ``textfile.ContentLines``.
     """
-    header: tuple[int, ...] | None = None
-    window: int | None = None
-    dist: np.ndarray | None = None
-    wins: list[tuple[int, int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = textfile.ContentLines(text)
+    start, tokens = lines.header(0, "game")
+    if len(tokens) not in (5, 7) or tokens[5:6] not in ([], ["window"]):
+        raise ParseError("expected 'game nX nY nA nB [window w]'", line=start)
+    sizes = textfile.sizes(tokens[1:5], 4, start)
+    window = textfile.sizes(tokens[6:], 1, start)[0] if len(tokens) == 7 else None
+    # 2 ** 25 > ENTRY_BUDGET: capping w at 25 keeps the verdict, cheaply
+    require_budget(math.prod(n ** min(window or 1, 25) for n in sizes), ENTRY_BUDGET,
+                   "game file predicate")
+    shape = nx, ny, na, nb = tuple(n ** (window or 1) for n in sizes)
+    win = np.zeros(shape, dtype=bool)
+    dist = None
+    for lineno, line in zip(lines.numbers[1:], lines.rows[1:]):
         tokens = line.split()
-        if header is None:
-            if tokens[0] != "game" or len(tokens) not in (5, 7):
-                raise ParseError("expected 'game nX nY nA nB [window w]'", line=lineno)
+        if tokens[0] == "win":
             try:
-                sizes = tuple(int(t) for t in tokens[1:5])
-            except ValueError as exc:
-                raise ParseError("bad alphabet size", line=lineno) from exc
-            if any(n < 1 for n in sizes):
-                raise ParseError("alphabet sizes must be positive", line=lineno)
-            if len(tokens) == 7:
-                if tokens[5] != "window":
-                    raise ParseError("expected 'window w' suffix", line=lineno)
-                try:
-                    window = int(tokens[6])
-                except ValueError as exc:
-                    raise ParseError("bad window", line=lineno) from exc
-                if window < 1:
-                    raise ParseError("window must be >= 1", line=lineno)
-            header = sizes
-            # 2 ** 25 > ENTRY_BUDGET: capping w at 25 keeps the verdict, cheaply
-            require_budget(math.prod(n ** min(window or 1, 25) for n in sizes), ENTRY_BUDGET,
-                           "game file predicate")
-            continue
-        if tokens[0] == "dist":
+                x, y, a, b = map(int, tokens[1:])
+            except ValueError:
+                raise ParseError("expected 'win x y a b'", line=lineno) from None
+            if not (0 <= x < nx and 0 <= y < ny and 0 <= a < na and 0 <= b < nb):
+                raise ParseError(f"win index out of range {shape}", line=lineno)
+            win[x, y, a, b] = True
+        elif tokens[0] == "dist":
             if dist is not None:
                 raise ParseError("duplicate dist line", line=lineno)
-            try:
-                values = [float(t) for t in tokens[1:]]
-            except ValueError as exc:
-                raise ParseError("bad probability", line=lineno) from exc
-            if len(values) != header[0] * header[1]:
-                raise ParseError(
-                    f"expected {header[0] * header[1]} probabilities, got {len(values)}",
-                    line=lineno)
-            dist = np.array(values).reshape(header[0], header[1])
-            continue
-        if tokens[0] == "win":
-            if len(tokens) != 5:
-                raise ParseError("expected 'win x y a b'", line=lineno)
-            try:
-                quad = tuple(int(t) for t in tokens[1:])
-            except ValueError as exc:
-                raise ParseError("bad win quadruple", line=lineno) from exc
-            w = window or 1
-            limits = tuple(n ** w for n in header)
-            for v, limit in zip(quad, limits):
-                if not 0 <= v < limit:
-                    raise ParseError(f"win index {v} out of range [0,{limit})",
-                                     line=lineno)
-            wins.append(quad)
-            continue
-        raise ParseError(f"unknown directive {tokens[0]!r}", line=lineno)
-    if header is None:
-        raise ParseError("missing game header", line=1)
+            dist = np.reshape(textfile.row(tokens[1:], sizes[0] * sizes[1], float, lineno),
+                              sizes[:2])
+        else:
+            raise ParseError(f"unknown directive {tokens[0]!r}", line=lineno)
     if dist is None:
-        raise ParseError("missing dist line", line=1)
-    w = window or 1
-    shape = tuple(n ** w for n in header)
-    win = np.zeros(shape, dtype=bool)
-    for quad in wins:
-        win[quad] = True
-    try:
-        if window is None:
-            return FiniteGame(win, dist)
-        return CylinderGame(window, header, win, dist)
-    except ValidationError as exc:
-        raise ParseError(str(exc), line=1) from exc
+        raise ParseError("missing dist line", line=start)
+    if window is None:
+        return textfile.checked(start, FiniteGame, win, dist)
+    return textfile.checked(start, CylinderGame, window, sizes, win, dist)

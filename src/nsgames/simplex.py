@@ -73,15 +73,14 @@ class LinearProgram:
 @dataclass(frozen=True)
 class SimplexResult:
     """One solve.  ``dual`` is y over the equality rows, then the inequality
-    rows (y >= 0 there); ``reduced_costs`` is c - A^T y; ``iterations`` is the
-    HiGHS simplex iteration count.  Only an optimal result carries a dual."""
+    rows (y >= 0 there), from which a caller forms c - A^T y and b.y;
+    ``iterations`` is the HiGHS simplex iteration count.  Only an optimal
+    result carries a dual."""
 
     status: str                      # "optimal" | "infeasible" | "unbounded"
     optimum: float
     x: np.ndarray                    # values of the caller's variables
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dual_objective: float = 0.0
-    reduced_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0
 
 
@@ -98,13 +97,8 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     if status != "optimal":
         return SimplexResult(status, np.inf if status == "unbounded" else np.nan,
                              np.full(lp.num_vars, np.nan), iterations=int(result.nit))
-    reduced, duals, bound = lp.objective.copy(), [], 0.0
-    for mat, rhs, side in ((lp.a_eq, lp.b_eq, result.eqlin), (lp.a_ub, lp.b_ub, result.ineqlin)):
-        if mat is not None:
-            y = -np.asarray(side.marginals)  # scipy's are those of min -c.x
-            reduced -= mat.T @ y
-            bound += float(rhs @ y)
-            duals.append(y)
+    # scipy's marginals are those of min -c.x
+    duals = [-np.asarray(side.marginals) for mat, side in
+             ((lp.a_eq, result.eqlin), (lp.a_ub, result.ineqlin)) if mat is not None]
     return SimplexResult("optimal", -float(result.fun), np.asarray(result.x),
-                         np.concatenate(duals) if duals else np.zeros(0), bound, reduced,
-                         int(result.nit))
+                         np.concatenate(duals) if duals else np.zeros(0), int(result.nit))

@@ -75,6 +75,13 @@ class TestValueCommand:
         assert main(["value", str(path), "--type", "loc"]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_nan_question_weight_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.game"
+        path.write_text(dump_game(chsh()).replace("dist 0.25", "dist nan"))
+        for kind in ("loc", "ns", "qs"):
+            assert main(["value", str(path), "--type", kind]) == 2
+            assert "line 1" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["value", "/nonexistent.game", "--type", "loc"]) == 2
 
@@ -311,6 +318,18 @@ class TestDilateCommand:
         assert time.perf_counter() - start < 0.1
         assert "povm effects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        # both effects halved: they sum to I/2
+        lambda rows: [row.replace("p+0,", "p-1,") for row in rows],
+        # effect 0 becomes [[1, 1/2], [0, 0]]
+        lambda rows: rows[:1] + [rows[1].split()[0] + " 0x1p-1,0x0p+0"] + rows[2:]],
+        ids=["sum-half-identity", "non-hermitian"])
+    def test_invalid_povm_exit_2(self, tmp_path, capsys, edit):
+        path = tmp_path / "bad.povm"
+        path.write_text("\n".join(edit(dump_povm(basis_pvm(2)).splitlines())) + "\n")
+        assert main(["dilate", str(path)]) == 2
+        assert "line 1:" in capsys.readouterr().err  # the povm header
+
     def test_joint_non_commuting_exit_4(self, tmp_path, capsys):
         p1 = tmp_path / "z.povm"
         p2 = tmp_path / "x.povm"
@@ -395,6 +414,16 @@ class TestCheckCommand:
                 main(["check", str(path), "--test", test, "--tol", text])
             assert err.value.code == 2
             assert "argument --tol: must be >= 0 and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0.5 0.5 0.5 0.5", "0.25 nan 0.25 0.25"],
+                             ids=["sums-to-2", "nan"])
+    def test_invalid_correlation_exit_2(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.corr"
+        rows = dump_correlation(Correlation(np.full((2, 2, 2, 2), 0.25))).splitlines()
+        path.write_text("\n".join(["# a broken correlation"] + rows[:2] + [row] + rows[3:]))
+        for test in ("ns", "local"):
+            assert main(["check", str(path), "--test", test]) == 2
+            assert "line 2:" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.corr"

@@ -390,6 +390,14 @@ class TestValidationAndFormat:
         with pytest.raises(ValidationError, match="sums to 1"):
             FiniteGame(np.ones((1, 1, 1, 1), dtype=bool), [[0.5]])
 
+    @pytest.mark.parametrize("make", [
+        lambda dist: FiniteGame(np.ones((2, 2, 2, 2), dtype=bool), dist),
+        lambda dist: CylinderGame(1, (2, 2, 2, 2), np.ones((2, 2, 2, 2), dtype=bool), dist)],
+        ids=["finite", "cylinder"])
+    def test_nan_weight_rejected(self, make):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            make([[np.nan, 0.25], [0.25, 0.25]])
+
     def test_cylinder_window_shape(self):
         with pytest.raises(ValidationError, match="windowed"):
             CylinderGame(2, (2, 2, 2, 2), np.ones((2, 2, 2, 2), dtype=bool),
@@ -421,6 +429,9 @@ class TestValidationAndFormat:
         with pytest.raises(ParseError) as err:
             load_game("game 2 2 2 2\ndist 0.25 0.25 0.25 0.25\nwin 5 0 0 0\n")
         assert err.value.line == 3
+        with pytest.raises(ParseError) as err:  # a broken invariant: the header's line
+            load_game("# weights with a NaN\ngame 1 2 2 2\ndist nan 1.0\n")
+        assert err.value.line == 2
 
     def test_win_indices_validated_against_window(self):
         text = "game 2 2 2 2 window 2\ndist 0.25 0.25 0.25 0.25\nwin 3 3 3 3\n"

@@ -1,5 +1,6 @@
 """Every tolerance and size budget lives in ``errors``: no other module
-defines one, and only ``errors.require_budget`` raises ``TooLargeError``."""
+defines one, and only ``errors.require_budget`` raises ``TooLargeError``.
+Only ``textfile`` splits text into lines."""
 
 import ast
 import pathlib
@@ -49,6 +50,14 @@ def test_no_budget_outside_errors(path):
     assert not stray, f"{path.name} defines {stray}; name budgets in errors.py"
     assert "TooLargeError" not in raised_names(path), \
         f"{path.name} raises TooLargeError; call errors.require_budget"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_textfile_splits_lines(path):
+    calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
+    assert path.name == "textfile.py" or not calls, \
+        f"{path.name} splits text into lines; read it through textfile.ContentLines"
 
 
 def test_errors_defines_two_budgets():
