@@ -96,11 +96,8 @@ def cmd_sequence(args) -> int:
     entries, truncated = games_mod.inner_value_sequence(cylinder, args.type, args.n_max, **opts)
     if args.format == "machine":
         for e in entries:
-            if with_running:
-                print(f"entry {e.n} {_fmt(e.value)} {_fmt(e.normalized)} "
-                      f"{_fmt(e.running_max)}")
-            else:
-                print(f"entry {e.n} {_fmt(e.value)} {_fmt(e.normalized)}")
+            running = f" {_fmt(e.running_max)}" if with_running else ""
+            print(f"entry {e.n} {_fmt(e.value)} {_fmt(e.normalized)}{running}")
         if truncated:
             print("truncated 1")
         return EXIT_OK

@@ -26,8 +26,8 @@ Gram-Schmidt floor of ``linalg.extend_isometry_to_unitary`` are separate.
 Each engine counts, from shapes, the units of what it would build before it
 allocates or imports scipy; ``require_budget`` refuses more than a budget.  No
 one count bounds both time and memory: the 10x10x2x2 membership LP must run
-and the chsh^5 orbit search must not.  Measured on 2 cores (R: a random
-2x2x2x2 base without relabelings; k: a game's relabelings):
+and the 5.1e7-entry full LP of chsh^6 must not.  Measured on 2 cores (R: a
+random 2x2x2x2 base without relabelings):
 
 ================  ===================================================================
 budget            units counted by each engine (a measured instance)
@@ -36,13 +36,15 @@ budget            units counted by each engine (a measured instance)
 (3e8, time)       1.67e7 in 0.18 s); ``top_deterministic_strategies``: nA^nX maps;
                   dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
                   10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
-                  from the shape when k = 0, else after the orbit search
+                  from the shape for a game without symmetry, else after the orbit search
 ``WORK_BUDGET``   ``qs_seesaw``: one sweep, seeds d^4 (d^2 + nX nY nA nB) (chsh, 20 seeds:
                   d = 12: 6.6e7, 0.21 s per sweep; d = 16: 3.6e8, 0.76 s per sweep)
 ``ENTRY_BUDGET``  ``iterate``, ``product_game``, ``load_game`` (from the header): predicate
-(2.5e7, memory)   entries; ``ns_value`` when k > 0: orbit-search index entries, k (LP
-                  columns + rows), about 65 B each (all_win(2,2,3,3)^2: 1.73e7, 1.1 GB;
-                  chsh^5: 3.9e7, 3 GB)
+(2.5e7, memory)   entries; ``ns_value``: entries of the full LP that certifies the value,
+                  3 nX nY nA nB + nX nY (nA + nB), about 80 B each with the solve (chsh^5:
+                  3.2e6 in 0.37 s, 250 MB; all_win(2,2,3,3)^4: 5.1e6 in 0.73 s, 400 MB).
+                  The orbit search within it costs |G| (base LP points) + width (LP
+                  points), for base group G (all_win(2,2,3,3)^4: 0.07 s, 40 MB)
 ``ENTRY_BUDGET``  ``qs_seesaw``: strategy and state stacks, seeds d^2 (nX nA + nY nB + d^2)
 ``ENTRY_BUDGET``  dilations: the dilated PVM's orthogonality check, k^2 K^2 entries for k
                   outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB); a povm block's

@@ -10,9 +10,11 @@ correlation module, and ``strategies.map_digits`` decodes them.
 
 A relabeling permutes the questions of each party and each party's answers
 per question, fixing ``win`` and ``dist``.  ``embed`` and ``memory_game``
-find the base game's relabelings; ``iterate`` applies each to one coordinate
-at a time, which fixes the iterate, for the engines in ``optimize`` to reduce
-by.  Other games (built directly, loaded, or products) carry none.
+find the base game's relabelings, and ``iterate`` hands them on with its
+width: the base group acting on each coordinate independently fixes the
+iterate, so every orbit of the iterate is a product of base orbits, which the
+engines in ``optimize`` reduce by.  Other games (built directly, loaded, or
+products) carry none.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import optimize, textfile
 from .correlations import Alphabets, Correlation, deterministic_correlation, from_qs
 from .errors import (ENTRY_BUDGET, INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError,
                      TooLargeError, ValidationError, require_budget)
-from .strategies import map_digits
+from .strategies import coordinate_blocks
 
 # Candidates nX! nY! (nA!)^nX (nB!)^nY the relabeling search tries; above it
 # the search finds none, which leaves the engines unreduced, never wrong.
@@ -49,6 +51,15 @@ def _question_dist(dist, shape: tuple, what: str) -> np.ndarray:
     return dist
 
 
+def _predicate(win) -> np.ndarray:
+    """``win`` as a read-only bool array: one already, as the builders here hand
+    in, is taken over; any other is copied, so a caller's array never freezes."""
+    if not (isinstance(win, np.ndarray) and win.dtype == bool and not win.flags.writeable):
+        win = np.array(win, dtype=bool)
+        win.setflags(write=False)
+    return win
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class FiniteGame(Alphabets):
     """Rule predicate ``win`` over (x,y,a,b) and question distribution ``dist``."""
@@ -56,15 +67,15 @@ class FiniteGame(Alphabets):
     win: np.ndarray
     dist: np.ndarray
     name: str = field(default="", compare=False)
-    # (px, py, sa, sb) index arrays that fix win and dist; set by ``iterate``.
-    relabelings: tuple = field(default=(), init=False, compare=False)
+    # (group, width), set by ``iterate``: base relabelings, identity first, each
+    # fixing win and dist on any one of the width coordinates; () for no other.
+    symmetry: tuple = field(default=(), init=False, compare=False)
 
     def __init__(self, win, dist, name: str = ""):
-        win = np.array(win, dtype=bool)
+        win = _predicate(win)
         if win.ndim != 4:
             raise ValidationError("rank-4 predicate", detail=f"shape {win.shape}")
         dist = _question_dist(dist, win.shape[:2], "distribution over question pairs")
-        win.setflags(write=False)
         object.__setattr__(self, "win", win)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "name", name)
@@ -101,14 +112,14 @@ class CylinderGame:
         if window < 1:
             raise ValidationError("window >= 1", residual=float(window))
         base_shape = tuple(int(n) for n in base_shape)
-        win = np.array(win, dtype=bool)
-        expected = tuple(n ** window for n in base_shape)
-        if win.shape != expected:
+        win = _predicate(win)
+        # an exponent past every dimension's bit length keeps the verdict when capped
+        cap = max(win.shape, default=0).bit_length() + 1
+        if win.shape != tuple(n ** min(window, cap) for n in base_shape):
             raise ValidationError("windowed predicate shape",
-                                  detail=f"{win.shape} vs {expected}")
+                                  detail=f"{win.shape} vs {base_shape} ** {window}")
         base_dist = _question_dist(base_dist, base_shape[:2],
                                    "distribution over base question pairs")
-        win.setflags(write=False)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "base_shape", base_shape)
         object.__setattr__(self, "win", win)
@@ -151,28 +162,24 @@ def value(game: FiniteGame, kind: str, *, dim: int = 2, seeds: int = 20,
           max_sweeps: int = 200, rng_seed: int = 0) -> ValueReport:
     """Compute a game value: exact for "loc"/"ns", a lower bound for "qs"."""
     if kind == "loc":
-        val, (f, g) = optimize.local_value(game)
-        certificate = (f, g)
-        corr = deterministic_correlation(f, g, game.nA, game.nB)
-        tag, exact = "loc", True
+        val, certificate = optimize.local_value(game)
+        corr = deterministic_correlation(*certificate, game.nA, game.nB)
     elif kind == "ns":
         val, corr = optimize.ns_value(game)
         certificate = corr
-        tag, exact = "ns", True
     elif kind == "qs":
         state = optimize.qs_seesaw(game, dim=dim, seeds=seeds,
                                    max_sweeps=max_sweeps, rng_seed=rng_seed)
-        val = state.value
-        certificate = state
+        val, certificate = state.value, state
         corr = from_qs(state.alice, state.bob, state.psi)
-        tag, exact = "qs-lb", False
     else:
         raise ValueError(f"unknown value type {kind!r}")
     check = payoff(game, corr)
     if abs(check - val) > INVARIANT_TOL:
         raise NumericError("certificate does not reproduce the value",
                            residual=abs(check - val))
-    return ValueReport(game.name, tag, min(max(val, 0.0), 1.0), certificate, exact)
+    tag = "qs-lb" if kind == "qs" else kind
+    return ValueReport(game.name, tag, min(max(val, 0.0), 1.0), certificate, kind != "qs")
 
 
 def product_game(g1: FiniteGame, g2: FiniteGame) -> FiniteGame:
@@ -183,6 +190,7 @@ def product_game(g1: FiniteGame, g2: FiniteGame) -> FiniteGame:
         g1.win.reshape(g1.nX, 1, g1.nY, 1, g1.nA, 1, g1.nB, 1),
         g2.win.reshape(1, g2.nX, 1, g2.nY, 1, g2.nA, 1, g2.nB),
     ).reshape(g1.nX * g2.nX, g1.nY * g2.nY, g1.nA * g2.nA, g1.nB * g2.nB)
+    win.setflags(write=False)
     dist = np.einsum("xy,XY->xXyY", g1.dist, g2.dist).reshape(
         g1.nX * g2.nX, g1.nY * g2.nY)
     name = f"{g1.name}*{g2.name}" if g1.name or g2.name else ""
@@ -216,15 +224,15 @@ def relabelings(game: FiniteGame) -> tuple:
     return tuple((px[i, 0], py[j, 0], sa[k], sb[m]) for i, j, k, m in np.argwhere(fixed))
 
 
-def _carrying(game, group: tuple):
-    object.__setattr__(game, "relabelings", group)
+def _carrying(game, attribute: str, value):
+    object.__setattr__(game, attribute, value)
     return game
 
 
 def embed(game: FiniteGame) -> CylinderGame:
     """The window-1 cylinder game whose iterates are the parallel repetitions."""
     return _carrying(CylinderGame(1, game.shape, game.win, game.dist, name=game.name),
-                     relabelings(game))
+                     "relabelings", relabelings(game))
 
 
 def memory_game(game: FiniteGame) -> CylinderGame:
@@ -238,9 +246,10 @@ def memory_game(game: FiniteGame) -> CylinderGame:
         game.win.reshape(nX, 1, nY, 1, nA, 1, nB, 1),
         game.win.reshape(1, nX, 1, nY, 1, nA, 1, nB),
     ).reshape(nX * nX, nY * nY, nA * nA, nB * nB)
+    win2.setflags(write=False)
     name = f"memory({game.name})" if game.name else ""
     return _carrying(CylinderGame(2, game.shape, win2, game.dist, name=name),
-                     relabelings(game))
+                     "relabelings", relabelings(game))
 
 
 def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
@@ -259,44 +268,19 @@ def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
     nX, nY, nA, nB = cylinder.base_shape
     require_budget(math.prod(s ** width for s in cylinder.base_shape), ENTRY_BUDGET,
                    f"width-{width} iterate predicate")
-    multi_shape = (nX,) * width + (nY,) * width + (nA,) * width + (nB,) * width
-    window_multi = cylinder.win.reshape((nX,) * w + (nY,) * w + (nA,) * w + (nB,) * w)
-    result = np.ones(multi_shape, dtype=bool)
+    win = np.ones((nX ** width, nY ** width, nA ** width, nB ** width), dtype=bool)
     for k in range(n):
-        view_shape = []
-        for base in (nX, nY, nA, nB):
-            view_shape += [1] * k + [base] * w + [1] * (width - w - k)
-        result &= window_multi.reshape(view_shape)
-    dist = np.ones((nX,) * width + (nY,) * width)
-    for i in range(width):
-        shape = [nX if j == i else 1 for j in range(width)]
-        shape += [nY if j == i else 1 for j in range(width)]
-        dist = dist * cylinder.base_dist.reshape(shape)
+        view = coordinate_blocks(win, cylinder.base_shape, k, w, width)
+        view &= coordinate_blocks(cylinder.win, cylinder.base_shape, 0, w, w)
+    dist = np.ones((nX ** width, nY ** width))
+    for k in range(width):
+        view = coordinate_blocks(dist, (nX, nY), k, 1, width)
+        view *= coordinate_blocks(cylinder.base_dist, (nX, nY), 0, 1, 1)
+    win.setflags(write=False)
     name = f"{cylinder.name}^({n})" if cylinder.name else ""
-    game = FiniteGame(
-        result.reshape(nX ** width, nY ** width, nA ** width, nB ** width),
-        dist.reshape(nX ** width, nY ** width),
-        name=name,
-    )
-    return _carrying(game, _lift(cylinder.relabelings, cylinder.base_shape, width))
-
-
-def _lift(group: tuple, base_shape: tuple[int, ...], width: int) -> tuple:
-    """Each base relabeling applied to one coordinate of the width-``width``
-    tuple alphabets, as (px, py, sa, sb) index arrays of the iterate; all
-    relabelings at coordinate 0 come first, then those at coordinate 1, ...
-    The identity, first in ``group``, is left out."""
-    if len(group) < 2:
-        return ()
-    px, py, sa, sb = (np.array(part) for part in zip(*group[1:]))
-    # every coordinate of every tuple over each base alphabet, (tuples, width)
-    digits = dx, dy, da, db = [map_digits(np.arange(n ** width), width, n) for n in base_shape]
-    places = [n ** np.arange(width - 1, -1, -1) for n in base_shape]
-    images = (px[:, dx], py[:, dy], sa[:, dx[:, None], da], sb[:, dy[:, None], db])
-    lifted = [np.moveaxis(np.arange(n ** width)[:, None] + (image - d) * p, -1, 0)
-              .reshape(width * len(image), *image.shape[1:-1])
-              for n, p, d, image in zip(base_shape, places, digits, images)]
-    return tuple(zip(*lifted))
+    group = cylinder.relabelings
+    return _carrying(FiniteGame(win, dist, name=name), "symmetry",
+                     (group, width) if len(group) > 1 else ())
 
 
 @dataclass(frozen=True)
@@ -353,24 +337,17 @@ def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int,
 
 def chsh() -> FiniteGame:
     """Binary game, uniform questions, win when a XOR b equals x AND y."""
-    win = np.zeros((2, 2, 2, 2), dtype=bool)
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    win[x, y, a, b] = (a ^ b) == (x & y)
-    return FiniteGame(win, np.full((2, 2), 0.25), name="chsh")
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    return FiniteGame((a ^ b) == (x & y), np.full((2, 2), 0.25), name="chsh")
 
 
 def all_win(nX: int = 1, nY: int = 1, nA: int = 1, nB: int = 1) -> FiniteGame:
-    shape = (nX, nY, nA, nB)
-    return FiniteGame(np.ones(shape, dtype=bool),
+    return FiniteGame(np.ones((nX, nY, nA, nB), dtype=bool),
                       np.full((nX, nY), 1.0 / (nX * nY)), name="all-win")
 
 
 def never_win(nX: int = 1, nY: int = 1, nA: int = 1, nB: int = 1) -> FiniteGame:
-    shape = (nX, nY, nA, nB)
-    return FiniteGame(np.zeros(shape, dtype=bool),
+    return FiniteGame(np.zeros((nX, nY, nA, nB), dtype=bool),
                       np.full((nX, nY), 1.0 / (nX * nY)), name="never-win")
 
 
@@ -379,30 +356,17 @@ def random_game(shape: tuple[int, int, int, int], rng: np.random.Generator,
                 name: str = "") -> FiniteGame:
     """Random rule predicate with a random (or uniform) question distribution."""
     win = rng.random(shape) < win_probability
-    nX, nY = shape[:2]
-    if uniform_dist:
-        dist = np.full((nX, nY), 1.0 / (nX * nY))
-    else:
-        raw = rng.random((nX, nY)) + 0.1
-        dist = raw / raw.sum()
-    return FiniteGame(win, dist, name=name)
+    raw = np.ones(shape[:2]) if uniform_dist else rng.random(shape[:2]) + 0.1
+    return FiniteGame(win, raw / raw.sum(), name=name)
 
 
 def dump_game(game: FiniteGame | CylinderGame) -> str:
     """Serialize to the line format understood by :func:`load_game`."""
-    if isinstance(game, CylinderGame):
-        nX, nY, nA, nB = game.base_shape
-        header = f"game {nX} {nY} {nA} {nB} window {game.window}"
-        dist = game.base_dist
-        win = game.win
-    else:
-        nX, nY, nA, nB = game.shape
-        header = f"game {nX} {nY} {nA} {nB}"
-        dist = game.dist
-        win = game.win
-    lines = [header,
-             "dist " + " ".join(f"{v:.17g}" for v in dist.reshape(-1))]
-    for x, y, a, b in np.argwhere(win):
+    cylinder = isinstance(game, CylinderGame)
+    shape, dist = (game.base_shape, game.base_dist) if cylinder else (game.shape, game.dist)
+    header = "game " + " ".join(map(str, shape)) + (f" window {game.window}" if cylinder else "")
+    lines = [header, "dist " + " ".join(f"{v:.17g}" for v in dist.reshape(-1))]
+    for x, y, a, b in np.argwhere(game.win):
         lines.append(f"win {x} {y} {a} {b}")
     return "\n".join(lines) + "\n"
 
@@ -448,6 +412,7 @@ def load_game(text: str) -> FiniteGame | CylinderGame:
             raise ParseError(f"unknown directive {tokens[0]!r}", line=lineno)
     if dist is None:
         raise ParseError("missing dist line", line=start)
+    win.setflags(write=False)
     if window is None:
         return textfile.checked(start, FiniteGame, win, dist)
     return textfile.checked(start, CylinderGame, window, sizes, win, dist)

@@ -5,10 +5,12 @@ Three engines live here:
 * ``ns_value`` -- exact supremum over the no-signalling polytope, as a linear
   program over the correlation entries and marginal variables, as one sparse
   matrix.  HiGHS solves it through ``simplex.simplex_solve`` over the orbits
-  of the game's relabelings (see ``games``); the answer is lifted back and
+  of the game's symmetry (see ``games``): an iterate's orbits are products of
+  its base game's orbits, labelled coordinate by coordinate from the base
+  group's orbits on the base game's LP.  The answer is lifted back and
   certified on the full LP from both sides, by the primal correlation and by
-  a dual bound.  The orbit search and the orbit LP each fit a budget in
-  ``errors`` (entries, work), checked before either is built.
+  a dual bound.  The full LP's entries and the orbit LP's dense size each fit
+  a budget in ``errors``, checked before either is built.
 * ``local_value`` -- exact maximum over deterministic strategy pairs.  Alice's
   maps, within ``errors.WORK_BUDGET``, are enumerated by the kernel in
   ``strategies``: a meet-in-the-middle split of her input set, scored in exact
@@ -17,7 +19,9 @@ Three engines live here:
   the value.  The enumeration order is row-major over (f(0), ..., f(nX-1))
   with f(0) most significant, and ties break to the lowest strategy index
   (exactly on the integer path).  Only maps whose f(0) is an orbit minimum
-  under the relabelings are scanned, which keeps the lowest-index optimum.
+  under the relabelings fixing question 0 are scanned, which keeps the
+  lowest-index optimum; on an iterate, those f(0) are the answer tuples
+  made of base orbit minima alone.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state, returning a certified quantum-spatial
   lower bound (the certificate is an explicit finite-dimensional strategy).
@@ -28,6 +32,7 @@ Three engines live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,7 +69,7 @@ def ns_value_lp(game: "FiniteGame") -> LinearProgram:
 
     nX, nY, nA, nB = game.shape
     n_p = nX * nY * nA * nB
-    n_rows, n_cols = _lp_size(game.shape)
+    n_rows, n_cols, _ = _lp_size(game.shape)
     x, y, a, b = np.indices(game.shape).reshape(4, -1)
     (p, alpha, beta), (norm, alice, bob) = _lp_index(game.shape, x, y, a, b)
     first_b, first_a = b == 0, a == 0  # one marginal entry per Alice (Bob) row
@@ -79,10 +84,12 @@ def ns_value_lp(game: "FiniteGame") -> LinearProgram:
     return LinearProgram(objective, a_eq=a_eq, b_eq=b_eq)
 
 
-def _lp_size(shape) -> tuple[int, int]:
-    """The rows and the columns of ``ns_value_lp`` for a game of this shape."""
+def _lp_size(shape) -> tuple[int, int, int]:
+    """The rows, the columns and the matrix entries of ``ns_value_lp`` for a
+    game of this shape."""
     nX, nY, nA, nB = shape
-    return nX * nY * (1 + nA + nB), nX * nY * nA * nB + nX * nA + nY * nB
+    return (nX * nY * (1 + nA + nB), nX * nY * nA * nB + nX * nA + nY * nB,
+            nX * nY * (3 * nA * nB + nA + nB))
 
 
 def _lp_index(shape, x, y, a, b) -> tuple[tuple, tuple]:
@@ -110,19 +117,37 @@ def _orbit_labels(images: np.ndarray) -> np.ndarray:
 
 def _lp_orbits(game: "FiniteGame") -> list[np.ndarray]:
     """Orbit labels of the columns and of the rows of ``ns_value_lp(game)``,
-    for a game that carries relabelings."""
-    nX, nY, nA, nB = game.shape
-    px, py, sa, sb = (np.array(part, dtype=int).reshape((-1, *shape)) for part, shape
-                      in zip(zip(*game.relabelings), ((nX,), (nY,), (nX, nA), (nY, nB))))
-    x, y, a, b = np.indices(game.shape).reshape(4, -1)
-    before = _lp_index(game.shape, x, y, a, b)
-    after = _lp_index(game.shape, px[:, x], py[:, y], sa[:, x, a], sb[:, y, b])
+    for a game that carries a symmetry (group, width).  Each family of LP
+    points, in ``_lp_index`` order, holds the width-tuples of its base points,
+    on which the group acts coordinate by coordinate."""
+    group, width = game.symmetry
+    px, py, sa, sb = (np.array(part) for part in zip(*group))
+    sizes = dict(x=px.shape[1], y=py.shape[1], a=sa.shape[2], b=sb.shape[2])
     labels = []
-    for points, moved in zip(before, after):  # columns, then rows
-        images = np.empty((len(px), points[-1].max() + 1), dtype=int)
-        for point, image in zip(points, moved):
-            images[:, point] = image
-        labels.append(_orbit_labels(images))
+    for families in ("xyab", "xa", "yb"), ("xy", "xay", "ybx"):  # columns, then rows
+        parts = []
+        for family in families:
+            shape = [sizes[axis] for axis in family]
+            point = dict(zip(family, np.indices(shape).reshape(len(family), -1)))
+            x, y, a, b = (point.get(axis, 0) for axis in "xyab")
+            moved = dict(x=px[:, x], y=py[:, y], a=sa[:, x, a], b=sb[:, y, b])
+            minima = _orbit_labels(np.ravel_multi_index([moved[axis] for axis in family], shape))
+            parts.append(sum(map(len, parts)) + _product_minima(minima, shape, width))
+        labels.append(np.concatenate(parts))
+    return labels
+
+
+def _product_minima(minima: np.ndarray, shape, width: int) -> np.ndarray:
+    """Orbit minima of the width-tuples of points of ``shape`` from those of
+    the points, row-major: a product of orbits has the tuple of their minima
+    as its minimum, since row-major order compares coordinate by coordinate."""
+    labels = np.zeros(math.prod(n ** width for n in shape), dtype=int)
+    digits = np.unravel_index(minima, shape)
+    for i in range(width):  # every point's minimum, moved to coordinate i
+        moved = np.ravel_multi_index([d * n ** (width - 1 - i) for d, n in zip(digits, shape)],
+                                     [n ** width for n in shape])
+        view = strategies.coordinate_blocks(labels, shape, i, 1, width)
+        view += strategies.coordinate_blocks(moved, shape, 0, 1, 1)
     return labels
 
 
@@ -146,15 +171,14 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
     equals the primal's value: the dual check then fails unless that value
     is optimal.
     """
-    n_rows, n_cols = _lp_size(game.shape)
-    k = len(game.relabelings)
+    n_rows, n_cols, n_entries = _lp_size(game.shape)
+    require_budget(n_entries, ENTRY_BUDGET, "no-signalling LP (entries)")
     what = "no-signalling orbit LP (dense rows x columns)"
-    if not k:  # every orbit is one point: the orbit LP is the full LP
+    if not game.symmetry:  # every orbit is one point: the orbit LP is the full LP
         require_budget(n_rows * n_cols, WORK_BUDGET, what)
         lp = reduced = ns_value_lp(game)
         col_orbit, row_orbit, row_sizes = np.arange(n_cols), np.arange(n_rows), np.ones(n_rows)
     else:  # the orbit search comes first, and the LP after its orbits fit
-        require_budget(k * (n_cols + n_rows), ENTRY_BUDGET, "no-signalling LP orbit search")
         col_labels, row_labels = _lp_orbits(game)
         col_reps, col_orbit = np.unique(col_labels, return_inverse=True)
         row_reps, row_orbit, row_sizes = np.unique(row_labels, return_inverse=True,
@@ -205,9 +229,12 @@ def _payoff_tensor(game: "FiniteGame") -> np.ndarray:
 def local_value(game: "FiniteGame") -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact classical value and an optimal deterministic pair (f, g); only
     maps whose f(0) is an orbit minimum under relabelings fixing x = 0 are scanned."""
-    fixing_0 = [sa[0] for px, _, sa, _ in game.relabelings if px[0] == 0]
-    labels = _orbit_labels(np.array(fixing_0, dtype=int).reshape(-1, game.nA))
-    leading = np.flatnonzero(labels == np.arange(game.nA))
+    leading = np.arange(game.nA)
+    if game.symmetry:  # the answer tuples made of base orbit minima alone
+        group, width = game.symmetry
+        minima = _orbit_labels(np.array([sa[0] for px, _, sa, _ in group if px[0] == 0]))
+        digits = strategies.map_digits(leading, width, minima.size)
+        leading = np.flatnonzero((minima[digits] == digits).all(axis=-1))
     require_budget(leading.size * game.nA ** (game.nX - 1), WORK_BUDGET,
                    "loc enumeration of Alice's maps (ns_value gives an upper bound)")
     value, f, g = strategies.argmax_strategy(_payoff_tensor(game), leading=leading)

@@ -15,7 +15,8 @@ L = (question pairs) * 2^24, as for every uniform-question game, the scores
 are exact integers in the narrowest of int8/int16/int32 that holds them;
 otherwise they are float64.  Maps are indexed row-major, f(0) most
 significant; ties break to the lowest index, exactly on the integer path.
-``map_digits`` inverts this order, for maps and for tuple alphabets alike.
+``map_digits`` inverts this order, for maps and for tuple alphabets alike,
+and ``coordinate_blocks`` views an array over tuple alphabets by coordinate.
 Reported values always come from ``best_reply`` on T.
 
 ``argmax_strategy`` can scan only the maps whose f(0), the leading digit of
@@ -99,6 +100,12 @@ def map_digits(index, n_inputs: int, n_outputs: int) -> np.ndarray:
     axis holds f(0), ..., f(n_inputs - 1), with f(0) most significant."""
     places = n_outputs ** np.arange(n_inputs - 1, -1, -1)
     return np.asarray(index)[..., None] // places % n_outputs
+
+
+def coordinate_blocks(array: np.ndarray, bases, k: int, span: int, width: int) -> np.ndarray:
+    """``array`` over the width-``width`` tuple alphabets of these bases, viewed
+    as (before, span, after) blocks per alphabet around coordinates k .. k+span-1."""
+    return array.reshape([m for n in bases for m in (n ** k, n ** span, n ** (width - span - k))])
 
 
 def best_reply(tensor: np.ndarray, f: tuple[int, ...]) -> tuple[tuple[int, ...], float]:

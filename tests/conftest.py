@@ -58,3 +58,23 @@ def commuting_povm_pair(dim: int, k1: int, k2: int, rng: np.random.Generator):
 @pytest.fixture
 def rng():
     return rand.generator(20240925)
+
+
+def lifted_relabelings(game) -> list:
+    """Reference for a game's ``symmetry`` (group, width): each base relabeling
+    applied to one coordinate of the width-``width`` tuple alphabets, as
+    (px, py, sa, sb) index arrays of the game; all relabelings at coordinate 0
+    first, then those at coordinate 1, ...  The identity is left out."""
+    from nsgames.strategies import map_digits
+
+    group, width = game.symmetry
+    px, py, sa, sb = (np.array(part) for part in zip(*group[1:]))
+    base_shape = px.shape[1], py.shape[1], sa.shape[2], sb.shape[2]
+    # every coordinate of every tuple over each base alphabet, (tuples, width)
+    digits = dx, dy, da, db = [map_digits(np.arange(n ** width), width, n) for n in base_shape]
+    places = [n ** np.arange(width - 1, -1, -1) for n in base_shape]
+    images = (px[:, dx], py[:, dy], sa[:, dx[:, None], da], sb[:, dy[:, None], db])
+    lifted = [np.moveaxis(np.arange(n ** width)[:, None] + (image - d) * p, -1, 0)
+              .reshape(width * len(image), *image.shape[1:-1])
+              for n, p, d, image in zip(base_shape, places, digits, images)]
+    return list(zip(*lifted))

@@ -193,14 +193,32 @@ class TestSequenceCommand:
         out = capsys.readouterr().out
         assert "truncated 1" in out
 
-    def test_ns_lp_cap_truncates(self, tmp_path, capsys):
-        # n = 3: the orbit search over 15,549 relabelings x 50,608 LP columns
-        # and rows is over ENTRY_BUDGET
+    def test_ns_lp_cap_truncates(self, chsh_file, capsys):
+        # n = 6: the full LP that certifies the answer would have 5.1e7 entries,
+        # over ENTRY_BUDGET, though its orbit LP is small
+        assert main(["sequence", chsh_file, "--mode", "iid", "--type", "ns",
+                     "--n-max", "6", "--format", "machine", "--threads", "1"]) == 0
+        expected = "".join(f"entry {n} 1.0 1.0\n" for n in range(1, 6)) + "truncated 1\n"
+        assert capsys.readouterr().out == expected
+
+    def test_wide_ns_iterate_solves(self, tmp_path, capsys):
+        # n = 3 of all_win(2,2,3,3): 15,549 lifted relabelings, solved over product orbits
         path = tmp_path / "wide.game"
         path.write_text(dump_game(all_win(2, 2, 3, 3)))
         assert main(["sequence", str(path), "--mode", "iid", "--type", "ns",
                      "--n-max", "3", "--format", "machine", "--threads", "1"]) == 0
-        assert capsys.readouterr().out == "entry 1 1.0 1.0\nentry 2 1.0 1.0\ntruncated 1\n"
+        assert capsys.readouterr().out == "".join(f"entry {n} 1.0 1.0\n" for n in (1, 2, 3))
+
+    def test_unary_game_iterates_past_64_axes(self, tmp_path, capsys):
+        path = tmp_path / "one.game"
+        path.write_text("game 1 1 1 1\ndist 1.0\nwin 0 0 0 0\n")
+        assert main(["sequence", str(path), "--mode", "iid", "--type", "loc",
+                     "--n-max", "20", "--format", "machine"]) == 0
+        assert capsys.readouterr().out == "".join(f"entry {n} 1.0 1.0\n" for n in range(1, 21))
+        path.write_text("game 1 1 1 1 window 20\ndist 1.0\nwin 0 0 0 0\n")
+        assert main(["sequence", str(path), "--mode", "inner", "--type", "loc",
+                     "--n-max", "1", "--format", "machine"]) == 0
+        assert capsys.readouterr().out == "entry 1 1.0 1.0 1.0\n"
 
     def test_memory_ns_n3_independent_of_threads(self, chsh_file, capsys):
         # n = 3 is an 8,448 x 66,048 NS LP, solved over 3 x 18 orbits

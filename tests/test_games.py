@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from nsgames import (
 from nsgames import games, rand
 from nsgames.errors import ENTRY_BUDGET
 
-from conftest import pr_box
+from conftest import lifted_relabelings, pr_box
 
 
 class TestPayoff:
@@ -147,6 +148,25 @@ class TestIterateAndEmbed:
         for n in (1, 2, 3):
             assert value(iterate(cylinder, n), "loc").value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("make", [embed, memory_game])
+    def test_iterate_matches_coordinate_rules(self, make):
+        # oracle: every slot's window predicate, and the product of the base
+        # weights in coordinate order, read off each tuple's digits
+        base = random_game((2, 3, 2, 1), rand.generator(4))
+        cylinder, n = make(base), 2
+        stage, w = iterate(cylinder, n), cylinder.window
+        width = w + n - 1
+        window = cylinder.win.reshape([m for size in base.shape for m in (size,) * w])
+        for point in itertools.product(*map(range, stage.shape)):
+            digits = [np.unravel_index(v, (size,) * width) for v, size in zip(point, base.shape)]
+            wins = all(window[tuple(d for coordinate in digits for d in coordinate[k:k + w])]
+                       for k in range(n))
+            assert stage.win[point] == wins
+            weight = 1.0
+            for x, y in zip(*digits[:2]):
+                weight *= base.dist[x, y]
+            assert stage.dist[point[:2]] == weight
+
     def test_iterate_needs_positive_n(self):
         with pytest.raises(ValidationError):
             iterate(embed(chsh()), 0)
@@ -206,9 +226,10 @@ class TestRelabelings:
         assert len(cylinder.relabelings) == len(relabelings(game)) > 1
         for n in (1, 2):
             stage = iterate(cylinder, n)
-            assert stage.relabelings
+            group, width = stage.symmetry
+            assert group is cylinder.relabelings and width == cylinder.window + n - 1
             nX, nY, nA, nB = stage.shape
-            for px, py, sa, sb in stage.relabelings:
+            for px, py, sa, sb in lifted_relabelings(stage):
                 assert px.shape == (nX,) and py.shape == (nY,)
                 assert sa.shape == (nX, nA) and sb.shape == (nY, nB)
                 img = stage.win[px[:, None, None, None], py[None, :, None, None],
@@ -220,20 +241,20 @@ class TestRelabelings:
         # a base whose only relabeling is the identity
         game = FiniteGame(np.eye(4, dtype=bool).reshape(2, 2, 2, 2), [[0.1, 0.2], [0.3, 0.4]])
         assert len(relabelings(game)) == 1
-        assert iterate(memory_game(game), 2).relabelings == ()
+        assert iterate(memory_game(game), 2).symmetry == ()
 
     def test_above_cap_gets_none(self):
         big = all_win(1, 1, 8, 1)  # 8! candidates
         assert relabelings(big) == ()
-        assert iterate(embed(big), 2).relabelings == ()
+        assert iterate(embed(big), 2).symmetry == ()
 
     def test_only_derived_games_carry_them(self):
         game = chsh()
-        assert game.relabelings == ()
-        assert product_game(game, game).relabelings == ()
+        assert game.symmetry == ()
+        assert product_game(game, game).symmetry == ()
         assert load_game(dump_game(memory_game(game))).relabelings == ()
-        assert iterate(load_game(dump_game(embed(game))), 2).relabelings == ()
-        assert len(iterate(embed(game), 2).relabelings) > 0
+        assert iterate(load_game(dump_game(embed(game))), 2).symmetry == ()
+        assert len(iterate(embed(game), 2).symmetry[0]) > 1
 
 
 class TestMemoryGame:
@@ -402,6 +423,35 @@ class TestValidationAndFormat:
         with pytest.raises(ValidationError, match="windowed"):
             CylinderGame(2, (2, 2, 2, 2), np.ones((2, 2, 2, 2), dtype=bool),
                          np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("window", [10 ** 6, 10 ** 9])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_huge_window_refused_before_the_power(self, window, base):
+        win = np.ones((base,) * 4, dtype=bool)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="windowed"):
+            CylinderGame(window, (base,) * 4, win, np.full((base, base), 1 / base ** 2))
+        assert time.perf_counter() - start < 0.01
+
+    def test_caller_arrays_copied_and_builder_arrays_taken_over(self):
+        win = np.ones((2, 2, 2, 2), dtype=bool)
+        game = FiniteGame(win, np.full((2, 2), 0.25))
+        assert win.flags.writeable and not game.win.flags.writeable
+        assert not np.shares_memory(win, game.win)
+        assert FiniteGame(game.win, game.dist).win is game.win
+        assert embed(game).win is game.win
+
+    def test_loaded_predicate_held_once(self):
+        import tracemalloc
+
+        text = "game 2 1 1 1 window 24\ndist 0.5 0.5\nwin 5 0 0 0\n"  # a 16 MB predicate
+        tracemalloc.start()
+        try:
+            game = load_game(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert game.win.sum() == 1 and peak < 20 * 10 ** 6
 
     def test_round_trip_finite(self, rng):
         game = random_game((2, 3, 2, 2), rng)

@@ -26,7 +26,7 @@ from nsgames import (
 from nsgames import FiniteGame, all_win, embed, iterate, memory_game, rand
 from nsgames.linalg import kron, max_abs
 
-from conftest import PAULI_X, PAULI_Z, pauli_pvm, pr_box
+from conftest import PAULI_X, PAULI_Z, lifted_relabelings, pauli_pvm, pr_box
 
 
 def consecutive_difference_lp(game):
@@ -53,6 +53,27 @@ def consecutive_difference_lp(game):
     b_eq = np.zeros(len(rows))
     b_eq[: nX * nY] = 1.0
     return (game.dist[:, :, None, None] * game.win).ravel(), np.array(rows), b_eq
+
+
+def stacked_lp_orbits(game):
+    """Reference orbit labels of the columns and the rows of ``ns_value_lp(game)``:
+    every lifted relabeling applied to every LP point, and the labels
+    propagated over the stacked images until they settle."""
+    from nsgames.optimize import _lp_index, _orbit_labels
+
+    nX, nY, nA, nB = game.shape
+    px, py, sa, sb = (np.array(part, dtype=int).reshape((-1, *shape)) for part, shape
+                      in zip(zip(*lifted_relabelings(game)), ((nX,), (nY,), (nX, nA), (nY, nB))))
+    x, y, a, b = np.indices(game.shape).reshape(4, -1)
+    before = _lp_index(game.shape, x, y, a, b)
+    after = _lp_index(game.shape, px[:, x], py[:, y], sa[:, x, a], sb[:, y, b])
+    labels = []
+    for points, moved in zip(before, after):  # columns, then rows
+        images = np.empty((len(px), points[-1].max() + 1), dtype=int)
+        for point, image in zip(points, moved):
+            images[:, point] = image
+        labels.append(_orbit_labels(images))
+    return labels
 
 
 def brute_force_local(game):
@@ -114,17 +135,18 @@ class TestNsValue:
         assert value == 1.0 and corr.shape == (16, 16, 16, 16)
         assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (1088, 4224)
 
-    @pytest.mark.parametrize("case", ["memory(R0)^3", "memory(R0)^4", "chsh^5"])
+    @pytest.mark.parametrize("case", ["memory(R0)^3", "memory(R0)^4", "chsh^6"])
     def test_over_budget_refused_fast(self, case):
         import scipy.optimize  # noqa: F401 - time the refusal, not the import
 
-        if case == "chsh^5":  # 35 relabelings x 1.1e6 LP columns and rows
-            stage = iterate(embed(chsh()), 5)
+        if case == "chsh^6":  # the full LP it would build for the certificate has 5.1e7 entries
+            stage = iterate(embed(chsh()), 6)
+            assert stage.symmetry
         else:  # R0 has only the identity: its orbit LP is the full LP (8,448 x 66,048 at n = 3)
             r0 = FiniteGame(np.random.default_rng(5).random((2, 2, 2, 2)) < 0.5,
                             np.full((2, 2), 0.25))
             stage = iterate(memory_game(r0), int(case[-1]))
-            assert stage.relabelings == ()
+            assert stage.symmetry == ()
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -216,14 +238,14 @@ class TestNsValue:
         identity = (np.arange(nX), np.arange(nY), np.tile(np.arange(nA), (nX, 1)),
                     np.tile(np.arange(nB), (nY, 1)))
         carrying = FiniteGame(game.win, game.dist)
-        object.__setattr__(carrying, "relabelings", (identity,))
+        object.__setattr__(carrying, "symmetry", ((identity,), 1))
         expected, expected_corr = ns_value(carrying)
 
         def refuse(game):
             raise AssertionError("orbit bookkeeping for a game without relabelings")
 
         monkeypatch.setattr(optimize, "_lp_orbits", refuse)
-        assert not game.relabelings
+        assert not game.symmetry
         value, corr = ns_value(game)
         assert value == expected
         assert corr.p.tobytes() == expected_corr.p.tobytes()
@@ -232,9 +254,11 @@ class TestNsValue:
         from nsgames import NumericError
 
         stage = iterate(embed(chsh()), 1)
+        identity = (np.arange(2), np.arange(2), np.array([[0, 1], [0, 1]]),
+                    np.array([[0, 1], [0, 1]]))
         flip_at_0 = (np.arange(2), np.arange(2), np.array([[1, 0], [0, 1]]),
                      np.array([[0, 1], [0, 1]]))  # not a symmetry of CHSH
-        object.__setattr__(stage, "relabelings", (flip_at_0,))
+        object.__setattr__(stage, "symmetry", ((identity, flip_at_0), 1))
         with pytest.raises(NumericError, match="no-signalling"):
             ns_value(stage)
 
@@ -257,10 +281,48 @@ def symmetric_iterates():
 def test_symmetry_reduction_keeps_answers(stage):
     # the same game without relabelings: unreduced scan and full LP
     plain = FiniteGame(stage.win, stage.dist)
-    assert stage.relabelings and not plain.relabelings
+    assert stage.symmetry and not plain.symmetry
     assert local_value(stage) == local_value(plain)
     if stage.win.size <= 4096:
         assert ns_value(stage)[0] == pytest.approx(ns_value(plain)[0], abs=1e-9)
+
+
+def orbit_iterates():
+    """Every embed and memory iterate, n <= 2, of the bases with relabelings,
+    one of them with one-letter alphabets, and memory(chsh)^3."""
+    from test_games import symmetric_bases
+
+    bases = symmetric_bases() + [all_win(2, 2, 2, 2), never_win(2, 2, 2, 2), all_win(1, 2, 3, 1)]
+    for i, base in enumerate(bases):
+        for make in (embed, memory_game):
+            for n in (1, 2):
+                yield pytest.param(iterate(make(base), n), id=f"{make.__name__}-{i}-{n}")
+    yield pytest.param(iterate(memory_game(chsh()), 3), id="memory-chsh-3")
+
+
+@pytest.mark.parametrize("stage", list(orbit_iterates()))
+def test_product_orbits_match_stacked_search(stage):
+    from nsgames.optimize import _lp_orbits
+
+    assert stage.symmetry
+    for product, stacked in zip(_lp_orbits(stage), stacked_lp_orbits(stage)):
+        assert np.array_equal(product, stacked)
+
+
+def test_product_orbits_fast_and_small():
+    import scipy.optimize  # noqa: F401 - time the solve, not the import
+
+    stage = iterate(embed(all_win(2, 2, 3, 3)), 2)  # 10,366 lifted relabelings
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        value, _ = ns_value(stage)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0
+    assert elapsed < 0.1 and peak < 50 * 10 ** 6
 
 
 class TestLocalValue:
