@@ -262,8 +262,10 @@ class LocalityReport:
 
 def deterministic_correlation(f, g, nA: int, nB: int) -> Correlation:
     """p(a,b|x,y) = [a = f(x)][b = g(y)] for deterministic strategies f, g."""
-    return Correlation(np.einsum("xa,yb->xyab", np.eye(nA)[np.asarray(f, dtype=int)],
-                                 np.eye(nB)[np.asarray(g, dtype=int)]))
+    f, g = np.asarray(f, dtype=int), np.asarray(g, dtype=int)
+    p = np.zeros((f.size, g.size, nA, nB))
+    p[np.arange(f.size)[:, None], np.arange(g.size), f[:, None], g] = 1.0
+    return Correlation(p)
 
 
 def _membership_lp(p: np.ndarray):

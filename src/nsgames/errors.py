@@ -32,8 +32,9 @@ random 2x2x2x2 base without relabelings):
 ================  ===================================================================
 budget            units counted by each engine (a measured instance)
 ================  ===================================================================
-``WORK_BUDGET``   ``local_value``: maps scanned, nA^(nX-1) per leading f(0) (memory(R)^2:
-(3e8, time)       1.67e7 in 0.18 s); ``top_deterministic_strategies``: nA^nX maps;
+``WORK_BUDGET``   ``local_value``: nA^(nX-1) maps per f(0) kept at the chain's first level,
+(3e8, time)       fewer after the later levels (memory(R)^2: 1.67e7 in 0.18 s; memory(chsh)^2:
+                  5.2e5 scanned of 2.1e6 counted); ``top_deterministic_strategies``: nA^nX maps;
                   dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
                   10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
                   from the shape for a game without symmetry, else after the orbit search

@@ -18,10 +18,10 @@ Three engines live here:
   otherwise.  Bob's best reply, computed in closed form per question, gives
   the value.  The enumeration order is row-major over (f(0), ..., f(nX-1))
   with f(0) most significant, and ties break to the lowest strategy index
-  (exactly on the integer path).  Only maps whose f(0) is an orbit minimum
-  under the relabelings fixing question 0 are scanned, which keeps the
-  lowest-index optimum; on an iterate, those f(0) are the answer tuples
-  made of base orbit minima alone.
+  (exactly on the integer path).  On an iterate only maps canonical along a
+  stabiliser chain are scanned: each of f(0), ..., f(nX//2 - 1) is, on every
+  coordinate, the minimum of its orbit under the base relabelings fixing the
+  earlier questions and answers, which keeps the lowest-index optimum.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state, returning a certified quantum-spatial
   lower bound (the certificate is an explicit finite-dimensional strategy).
@@ -226,18 +226,45 @@ def _payoff_tensor(game: "FiniteGame") -> np.ndarray:
     return np.einsum("xy,xyab->xayb", game.dist, game.win.astype(float))
 
 
+def _canonical_rows(game: "FiniteGame", levels: int) -> np.ndarray:
+    """Alice's answer prefixes f(0), ..., f(levels - 1) canonical along a
+    stabiliser chain of the game's symmetry (group, width), as sorted rows: at
+    level k each coordinate of f(k) is the least of its orbit under the base
+    relabelings fixing that coordinate's questions 0..k and answers at 0..k-1.
+    A level whose masks over the group would not fit ``ENTRY_BUDGET`` is left
+    unrefined, and so is every later one."""
+    group, width = game.symmetry
+    px, _, sa, _ = (np.array(part) for part in zip(*group))
+    n_a = sa.shape[2]
+    digits = strategies.map_digits(np.arange(game.nA), width, n_a)  # (nA, width)
+    rows, mask = np.zeros(1, dtype=np.int64), np.ones((1, width, len(group)), dtype=bool)
+    for k in range(levels):
+        if rows.size * width * len(group) * n_a > ENTRY_BUDGET:
+            free = game.nA ** (levels - k)
+            return (rows[:, None] * free + np.arange(free)).ravel()
+        if k:  # the answers kept at question k - 1 stay fixed
+            kept = digits[answer]
+            mask = mask[prefix] & (images[np.arange(width), :, kept] == kept[..., None])
+        x = strategies.map_digits(k, width, px.shape[1])
+        mask &= (px[:, x] == x).T
+        images = sa[:, x].transpose(1, 0, 2)  # (width, group, n_a)
+        canonical = np.where(mask[..., None], images, n_a).min(axis=2) == np.arange(n_a)
+        prefix, answer = np.nonzero(canonical[:, np.arange(width), digits].all(axis=-1))
+        rows = rows[prefix] * game.nA + answer
+    return rows
+
+
 def local_value(game: "FiniteGame") -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exact classical value and an optimal deterministic pair (f, g); only
-    maps whose f(0) is an orbit minimum under relabelings fixing x = 0 are scanned."""
-    leading = np.arange(game.nA)
-    if game.symmetry:  # the answer tuples made of base orbit minima alone
-        group, width = game.symmetry
-        minima = _orbit_labels(np.array([sa[0] for px, _, sa, _ in group if px[0] == 0]))
-        digits = strategies.map_digits(leading, width, minima.size)
-        leading = np.flatnonzero((minima[digits] == digits).all(axis=-1))
-    require_budget(leading.size * game.nA ** (game.nX - 1), WORK_BUDGET,
+    """Exact classical value and an optimal deterministic pair (f, g), over the
+    first-half rows of ``_canonical_rows`` when the game has a symmetry.  They
+    keep the lowest-index optimum f*: an h of the level-k subgroup lowering
+    f*(k) would make h.f* optimal, equal to f* on questions 0..k-1 and lower
+    in index.  The work budget counts nA^(nX-1) maps per f(0) of level 0."""
+    first = _canonical_rows(game, 1).size if game.symmetry else game.nA
+    require_budget(first * game.nA ** (game.nX - 1), WORK_BUDGET,
                    "loc enumeration of Alice's maps (ns_value gives an upper bound)")
-    value, f, g = strategies.argmax_strategy(_payoff_tensor(game), leading=leading)
+    rows = _canonical_rows(game, game.nX // 2) if game.symmetry else None
+    value, f, g = strategies.argmax_strategy(_payoff_tensor(game), rows=rows)
     return value, (f, g)
 
 

@@ -19,11 +19,11 @@ significant; ties break to the lowest index, exactly on the integer path.
 and ``coordinate_blocks`` views an array over tuple alphabets by coordinate.
 Reported values always come from ``best_reply`` on T.
 
-``argmax_strategy`` can scan only the maps whose f(0), the leading digit of
-a first-half row, is in a given set: one contiguous run of rows per value.
-``optimize.local_value`` passes the orbit minima of f(0) under the game's
-relabelings that fix question 0; relabeling an optimum keeps its score, so
-the lowest-index optimum is among them.
+``argmax_strategy`` can scan only the maps whose first-half row, the digits
+f(0), ..., f(nX//2 - 1), is in a sorted set of rows, gathered block by block
+into one buffer.  ``optimize.local_value`` passes the rows that are canonical
+along a stabiliser chain of the game's relabelings; relabeling an optimum
+keeps its score, so the lowest-index optimum is among them.
 """
 
 from __future__ import annotations
@@ -59,40 +59,33 @@ def partial_scores(weights: np.ndarray, inputs: range) -> np.ndarray:
     return scores
 
 
-def scan_scores(tensor: np.ndarray, leading=None):
-    """Yield (offset, scores) blocks covering, in index order, every Alice map
-    whose f(0) is in ``leading`` (every map when it is None or when Alice has
-    one input).
+def scan_scores(tensor: np.ndarray, rows=None):
+    """Yield (ids, scores) blocks covering, in index order, every Alice map
+    whose first-half row is in ``rows`` (sorted; every row when None).
 
-    ``scores[i]`` ranks map ``offset + i`` in the units of
-    ``kernel_weights(tensor)``; the block is overwritten by the next one.
+    ``scores[i, j]`` ranks map ``ids[i] * n2 + j``, with n2 = scores.shape[1]
+    the second-half rows, in the units of ``kernel_weights(tensor)``; the
+    block is overwritten by the next one.
     """
     weights = kernel_weights(tensor)
     n_x, n_a, n_b, n_y = weights.shape
     first = partial_scores(weights, range(n_x // 2))
     second = np.ascontiguousarray(partial_scores(weights, range(n_x // 2, n_x)).transpose(1, 2, 0))
     n2 = second.shape[2]
-    per = first.shape[0] // n_a  # rows per leading digit; 0 when Alice has one input
-    if leading is None or per == 0:
-        leading, per = [0], first.shape[0]
-    runs = []  # row ranges [start, stop); consecutive digits share one
-    for digit in sorted(leading):
-        if runs and runs[-1][1] == digit * per:
-            runs[-1][1] += per
-        else:
-            runs.append([digit * per, (digit + 1) * per])
-    chunk = min(max(stop - start for start, stop in runs),
-                max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
+    ids_all = np.arange(len(first)) if rows is None else np.asarray(rows)
+    chunk = min(len(ids_all), max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
     best, trial = np.empty((2, chunk, n_y, n2), dtype=weights.dtype)
     totals = np.empty((chunk, n2), dtype=weights.dtype)
-    for run_start, run_stop in runs:
-        for start in range(run_start, run_stop, chunk):
-            rows = first[start:min(start + chunk, run_stop), :, :, None]
-            m, t, s = best[:len(rows)], trial[:len(rows)], totals[:len(rows)]
-            np.add(rows[:, 0], second[0], out=m)
-            for b in range(1, n_b):
-                np.maximum(m, np.add(rows[:, b], second[b], out=t), out=m)
-            yield start * n2, np.sum(m, axis=1, dtype=s.dtype, out=s).reshape(-1)
+    gathered = np.empty((chunk, n_b, n_y), dtype=weights.dtype)
+    for start in range(0, len(ids_all), chunk):
+        ids = ids_all[start:start + chunk]
+        block = (first[start:start + len(ids)] if rows is None else
+                 np.take(first, ids, axis=0, out=gathered[:len(ids)]))[..., None]
+        m, t, s = best[:len(ids)], trial[:len(ids)], totals[:len(ids)]
+        np.add(block[:, 0], second[0], out=m)
+        for b in range(1, n_b):
+            np.maximum(m, np.add(block[:, b], second[b], out=t), out=m)
+        yield ids, np.sum(m, axis=1, dtype=s.dtype, out=s)
 
 
 def map_digits(index, n_inputs: int, n_outputs: int) -> np.ndarray:
@@ -117,17 +110,17 @@ def best_reply(tensor: np.ndarray, f: tuple[int, ...]) -> tuple[tuple[int, ...],
     return g, value
 
 
-def argmax_strategy(tensor: np.ndarray, leading=None
+def argmax_strategy(tensor: np.ndarray, rows=None
                     ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """The best deterministic pair (value, f, g) among the Alice maps whose
-    f(0) is in ``leading`` (all maps when it is None)."""
+    first-half row is in ``rows`` (all maps when it is None)."""
     best_score = -np.inf
     best_index = -1
-    for offset, scores in scan_scores(tensor, leading):
-        j = int(np.argmax(scores))
-        if scores[j] > best_score:
-            best_score = float(scores[j])
-            best_index = offset + j
+    for ids, scores in scan_scores(tensor, rows):
+        i, j = np.unravel_index(np.argmax(scores), scores.shape)
+        if scores[i, j] > best_score:
+            best_score = float(scores[i, j])
+            best_index = int(ids[i]) * scores.shape[1] + int(j)
     f = tuple(map_digits(best_index, *tensor.shape[:2]).tolist())
     g, value = best_reply(tensor, f)
     return value, f, g
@@ -136,14 +129,16 @@ def argmax_strategy(tensor: np.ndarray, leading=None
 def top_strategies(tensor: np.ndarray, count: int):
     """The ``count`` best pairs as (value, f, g), by score then map index."""
     top_scores = top_indices = np.zeros(0, dtype=np.int64)
-    for offset, block in scan_scores(tensor):
+    for ids, block in scan_scores(tensor):
         # A later map enters only by beating the count-th best so far, and the
         # stable sort keeps tied maps in index order (kept ones come first).
+        n2, block = block.shape[1], block.reshape(-1)
         new = (np.flatnonzero(block > top_scores[-1]) if top_scores.size == count
                else np.arange(block.size))
         scores = np.concatenate([top_scores, block[new]])
         keep = np.argsort(-scores, kind="stable")[:count]
-        top_scores, top_indices = scores[keep], np.concatenate([top_indices, offset + new])[keep]
+        new_indices = ids[new // n2] * n2 + new % n2
+        top_scores, top_indices = scores[keep], np.concatenate([top_indices, new_indices])[keep]
     out = []
     for f in map(tuple, map_digits(top_indices, *tensor.shape[:2]).tolist()):
         g, value = best_reply(tensor, f)

@@ -129,6 +129,15 @@ def test_deterministic_correlation_matches_scatter(shape):
             assert p.tobytes() == scattered_deterministic(f, g, nA, nB).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4, 3), (8, 8, 8, 8)])
+def test_deterministic_correlation_matches_einsum(shape, rng):
+    nX, nY, nA, nB = shape
+    for _ in range(20):
+        f, g = rng.integers(0, nA, nX), rng.integers(0, nB, nY)
+        ones = np.einsum("xa,yb->xyab", np.eye(nA)[f], np.eye(nB)[g])
+        assert deterministic_correlation(f, g, nA, nB).p.tobytes() == ones.tobytes()
+
+
 class TestNoSignalling:
     def test_product_correlation_has_zero_defect(self, rng):
         q = rng.dirichlet(np.ones(2), size=2)

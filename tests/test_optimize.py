@@ -275,6 +275,7 @@ def symmetric_iterates():
                 stage = iterate(make(base), n)
                 if stage.nA ** stage.nX <= 8 ** 8:
                     yield pytest.param(stage, id=f"{make.__name__}-{i}-{n}")
+    yield pytest.param(iterate(embed(chsh()), 3), id="embed-chsh-3")
 
 
 @pytest.mark.parametrize("stage", list(symmetric_iterates()))
@@ -313,16 +314,87 @@ def test_product_orbits_fast_and_small():
     import scipy.optimize  # noqa: F401 - time the solve, not the import
 
     stage = iterate(embed(all_win(2, 2, 3, 3)), 2)  # 10,366 lifted relabelings
+    start = time.perf_counter()  # timed untraced: tracing doubles the call
+    value, _ = ns_value(stage)
+    elapsed = time.perf_counter() - start
     tracemalloc.start()
-    start = time.perf_counter()
     try:
-        value, _ = ns_value(stage)
-        elapsed = time.perf_counter() - start
+        ns_value(stage)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert value == 1.0
     assert elapsed < 0.1 and peak < 50 * 10 ** 6
+
+
+def brute_force_canonical_rows(game):
+    """Reference for ``_canonical_rows``: every element of the product group
+    G^width, lifted to Alice's questions and answers, tested against every
+    prefix f(0..levels-1) at every level k of the lex-leader rule, for as
+    many levels as fit 2^22 (element, prefix) pairs.  Base elements that act
+    alike on Alice are kept once.  Returns (levels, rows)."""
+    from nsgames.strategies import map_digits
+
+    group, width = game.symmetry
+    n_x, n_a = len(group[0][0]), group[0][2].shape[1]
+    alice = np.unique([np.concatenate([px, sa.ravel()]) for px, _, sa, _ in group], axis=0)
+    px, sa = alice[:, :n_x].astype(np.int16), alice[:, n_x:].reshape(-1, n_x, n_a).astype(np.int16)
+    levels = game.nX // 2
+    while game.nA ** levels * len(px) ** width > 2 ** 22:
+        levels -= 1
+    dx = map_digits(np.arange(game.nX), width, n_x)
+    da = map_digits(np.arange(game.nA), width, n_a)
+    choice = np.indices((len(px),) * width).reshape(width, -1)  # (width, elements)
+    lifted_x = sum(px[c][:, dx[:, i]] * n_x ** (width - 1 - i)
+                   for i, c in enumerate(choice))  # (elements, nX)
+    lifted_a = sum(sa[c][:, dx[:, i, None], da[:, i]] * n_a ** (width - 1 - i)
+                   for i, c in enumerate(choice))  # (elements, nX, nA)
+    prefixes = map_digits(np.arange(game.nA ** levels), levels, game.nA)
+    kept = np.ones(len(prefixes), dtype=bool)
+    for k in range(levels):
+        fixing = (lifted_x[:, :k + 1] == np.arange(k + 1)).all(axis=1)
+        earlier = lifted_a[:, np.arange(k), prefixes[:, :k]]  # (elements, prefixes, k)
+        stabiliser = fixing[:, None] & (earlier == prefixes[:, :k]).all(axis=-1)
+        lowered = lifted_a[:, k, prefixes[:, k]] < prefixes[:, k]
+        kept &= ~(stabiliser & lowered).any(axis=0)
+    return levels, np.flatnonzero(kept)
+
+
+@pytest.mark.parametrize("stage", list(orbit_iterates()))
+def test_chain_rows_match_product_group(stage):
+    from nsgames.optimize import _canonical_rows
+
+    levels, rows = brute_force_canonical_rows(stage)
+    assert np.array_equal(_canonical_rows(stage, levels), rows)
+
+
+def test_chain_stops_refining_over_entry_budget(monkeypatch):
+    from nsgames import optimize
+
+    stage = iterate(memory_game(chsh()), 2)  # 3 x 8 x 2 mask and minima entries per prefix
+    full = optimize._canonical_rows(stage, 4)
+    monkeypatch.setattr(optimize, "ENTRY_BUDGET", 48 * 2)  # stops at level 2, 4 prefixes
+    coarse = optimize._canonical_rows(stage, 4)
+    assert full.size < coarse.size < 8 ** 4 and np.isin(full, coarse).all()
+    assert np.array_equal(coarse, np.unique(coarse))
+    assert local_value(stage) == local_value(FiniteGame(stage.win, stage.dist))
+
+
+@pytest.mark.parametrize("make, n", [(memory_game, 2), (embed, 3)])
+def test_loc_budget_still_admits(make, n):
+    stage = iterate(make(chsh()), n)
+    assert stage.symmetry
+    value, (f, g) = local_value(stage)
+    assert 0 < value < 1 and len(f) == stage.nX and len(g) == stage.nY
+
+
+@pytest.mark.parametrize("make, n", [(memory_game, 3), (embed, 4)])
+def test_loc_budget_still_refuses_fast(make, n):
+    stage = iterate(make(chsh()), n)  # 16^16 maps, 16^15 over each leading f(0)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="loc enumeration"):
+        local_value(stage)
+    assert time.perf_counter() - start < 0.1
 
 
 class TestLocalValue:
