@@ -34,7 +34,7 @@ budget            units counted by each engine (a measured instance)
 ================  ===================================================================
 ``WORK_BUDGET``   ``local_value``: nA^(nX-1) maps per f(0) kept at the chain's first level,
 (3e8, time)       fewer after the later levels (memory(R)^2: 1.67e7 in 0.18 s; memory(chsh)^2:
-                  5.2e5 scanned of 2.1e6 counted); ``top_deterministic_strategies``: nA^nX maps;
+                  2.6e5 scanned of 2.1e6 counted); ``top_deterministic_strategies``: nA^nX maps;
                   dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
                   10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
                   from the shape for a game without symmetry, else after the orbit search
@@ -42,8 +42,8 @@ budget            units counted by each engine (a measured instance)
                   d = 12: 6.6e7, 0.21 s per sweep; d = 16: 3.6e8, 0.76 s per sweep)
 ``ENTRY_BUDGET``  ``iterate``, ``product_game``, ``load_game`` (from the header): predicate
 (2.5e7, memory)   entries; ``ns_value``: entries of the full LP that certifies the value,
-                  3 nX nY nA nB + nX nY (nA + nB), about 80 B each with the solve (chsh^5:
-                  3.2e6 in 0.37 s, 250 MB; all_win(2,2,3,3)^4: 5.1e6 in 0.73 s, 400 MB).
+                  3 nX nY nA nB + nX nY (nA + nB), about 55 B each with the solve (chsh^5:
+                  3.2e6 in 0.33 s, 169 MB; all_win(2,2,3,3)^4: 5.1e6 in 0.39 s, 268 MB).
                   The orbit search within it costs |G| (base LP points) + width (LP
                   points), for base group G (all_win(2,2,3,3)^4: 0.07 s, 40 MB)
 ``ENTRY_BUDGET``  ``qs_seesaw``: strategy and state stacks, seeds d^2 (nX nA + nY nB + d^2)

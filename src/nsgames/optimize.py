@@ -19,9 +19,10 @@ Three engines live here:
   the value.  The enumeration order is row-major over (f(0), ..., f(nX-1))
   with f(0) most significant, and ties break to the lowest strategy index
   (exactly on the integer path).  On an iterate only maps canonical along a
-  stabiliser chain are scanned: each of f(0), ..., f(nX//2 - 1) is, on every
+  stabiliser chain are scanned: each of f(0), ..., f(split - 1) is, on every
   coordinate, the minimum of its orbit under the base relabelings fixing the
-  earlier questions and answers, which keeps the lowest-index optimum.
+  earlier questions and answers (the split, from nX//2, moves on while the
+  chain cuts and stays balanced), which keeps the lowest-index optimum.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state, returning a certified quantum-spatial
   lower bound (the certificate is an explicit finite-dimensional strategy).
@@ -32,6 +33,7 @@ Three engines live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -70,7 +72,7 @@ def ns_value_lp(game: "FiniteGame") -> LinearProgram:
     nX, nY, nA, nB = game.shape
     n_p = nX * nY * nA * nB
     n_rows, n_cols, _ = _lp_size(game.shape)
-    x, y, a, b = np.indices(game.shape).reshape(4, -1)
+    x, y, a, b = np.indices(game.shape, dtype=np.int32).reshape(4, -1)  # ENTRY_BUDGET < 2^31
     (p, alpha, beta), (norm, alice, bob) = _lp_index(game.shape, x, y, a, b)
     first_b, first_a = b == 0, a == 0  # one marginal entry per Alice (Bob) row
     rows = np.concatenate([norm, alice, bob, alice[first_b], bob[first_a]])
@@ -184,14 +186,13 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
         row_reps, row_orbit, row_sizes = np.unique(row_labels, return_inverse=True,
                                                    return_counts=True)
         require_budget(row_reps.size * col_reps.size, WORK_BUDGET, what)
-        from scipy.sparse import coo_array
+        from scipy.sparse import csr_array
 
         lp = ns_value_lp(game)
-        entries = lp.a_eq.tocoo()
-        kept = row_labels[entries.row] == entries.row  # entries in a representative row
-        a_eq = coo_array((entries.data[kept], (row_orbit[entries.row[kept]],
-                                               col_orbit[entries.col[kept]])),
-                         shape=(row_reps.size, col_reps.size)).tocsr()
+        kept = lp.a_eq[row_reps]  # the representative rows, in orbit order
+        a_eq = csr_array((kept.data, col_orbit[kept.indices], kept.indptr),
+                         shape=(row_reps.size, col_reps.size))
+        a_eq.sum_duplicates()
         reduced = LinearProgram(np.bincount(col_orbit, weights=lp.objective),
                                 a_eq=a_eq, b_eq=lp.b_eq[row_reps])
     result = simplex_solve(reduced)
@@ -226,45 +227,62 @@ def _payoff_tensor(game: "FiniteGame") -> np.ndarray:
     return np.einsum("xy,xyab->xayb", game.dist, game.win.astype(float))
 
 
-def _canonical_rows(game: "FiniteGame", levels: int) -> np.ndarray:
-    """Alice's answer prefixes f(0), ..., f(levels - 1) canonical along a
-    stabiliser chain of the game's symmetry (group, width), as sorted rows: at
+def _chain_rows(game: "FiniteGame"):
+    """Alice's answer prefixes canonical along a stabiliser chain of the game's
+    symmetry (group, width), as sorted rows, for lengths 0, 1, ..., nX: at
     level k each coordinate of f(k) is the least of its orbit under the base
     relabelings fixing that coordinate's questions 0..k and answers at 0..k-1.
     A level whose masks over the group would not fit ``ENTRY_BUDGET`` is left
-    unrefined, and so is every later one."""
+    unrefined, and so is every later one, since rows never shrink."""
     group, width = game.symmetry
     px, _, sa, _ = (np.array(part) for part in zip(*group))
     n_a = sa.shape[2]
     digits = strategies.map_digits(np.arange(game.nA), width, n_a)  # (nA, width)
     rows, mask = np.zeros(1, dtype=np.int64), np.ones((1, width, len(group)), dtype=bool)
-    for k in range(levels):
+    for k in range(game.nX):
+        yield rows
         if rows.size * width * len(group) * n_a > ENTRY_BUDGET:
-            free = game.nA ** (levels - k)
-            return (rows[:, None] * free + np.arange(free)).ravel()
-        if k:  # the answers kept at question k - 1 stay fixed
-            kept = digits[answer]
-            mask = mask[prefix] & (images[np.arange(width), :, kept] == kept[..., None])
-        x = strategies.map_digits(k, width, px.shape[1])
-        mask &= (px[:, x] == x).T
-        images = sa[:, x].transpose(1, 0, 2)  # (width, group, n_a)
-        canonical = np.where(mask[..., None], images, n_a).min(axis=2) == np.arange(n_a)
-        prefix, answer = np.nonzero(canonical[:, np.arange(width), digits].all(axis=-1))
+            prefix, answer = np.divmod(np.arange(rows.size * game.nA), game.nA)
+        else:
+            if k:  # the answers kept at question k - 1 stay fixed
+                kept = digits[answer]
+                mask = mask[prefix] & (images[np.arange(width), :, kept] == kept[..., None])
+            x = strategies.map_digits(k, width, px.shape[1])
+            mask &= (px[:, x] == x).T
+            images = sa[:, x].transpose(1, 0, 2)  # (width, group, n_a)
+            canonical = np.where(mask[..., None], images, n_a).min(axis=2) == np.arange(n_a)
+            prefix, answer = np.nonzero(canonical[:, np.arange(width), digits].all(axis=-1))
         rows = rows[prefix] * game.nA + answer
-    return rows
+    yield rows
+
+
+def _canonical_rows(game: "FiniteGame", levels: int) -> np.ndarray:
+    """The rows of ``_chain_rows`` over the first ``levels`` questions."""
+    return next(itertools.islice(_chain_rows(game), levels, None))
+
+
+def _scan_rows(game: "FiniteGame") -> tuple[np.ndarray, int]:
+    """The kernel's (rows, split): from nX//2, one question later while the next
+    level cuts (fewer than nA rows per row) and keeps no more rows than the maps
+    after it; rows never shrink, so no level is built once they outnumber those."""
+    split, levels = game.nX // 2, _chain_rows(game)
+    rows, room = next(itertools.islice(levels, split, None)), game.nA ** (game.nX - split - 1)
+    while rows.size <= room and rows.size * game.nA > (deeper := next(levels)).size <= room:
+        rows, split, room = deeper, split + 1, room // game.nA
+    return rows, split
 
 
 def local_value(game: "FiniteGame") -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact classical value and an optimal deterministic pair (f, g), over the
-    first-half rows of ``_canonical_rows`` when the game has a symmetry.  They
+    rows of ``_scan_rows`` when the game has a symmetry.  At every level k they
     keep the lowest-index optimum f*: an h of the level-k subgroup lowering
     f*(k) would make h.f* optimal, equal to f* on questions 0..k-1 and lower
     in index.  The work budget counts nA^(nX-1) maps per f(0) of level 0."""
     first = _canonical_rows(game, 1).size if game.symmetry else game.nA
     require_budget(first * game.nA ** (game.nX - 1), WORK_BUDGET,
                    "loc enumeration of Alice's maps (ns_value gives an upper bound)")
-    rows = _canonical_rows(game, game.nX // 2) if game.symmetry else None
-    value, f, g = strategies.argmax_strategy(_payoff_tensor(game), rows=rows)
+    rows, split = _scan_rows(game) if game.symmetry else (None, None)
+    value, f, g = strategies.argmax_strategy(_payoff_tensor(game), rows, split)
     return value, (f, g)
 
 

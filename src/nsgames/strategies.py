@@ -6,24 +6,24 @@ and for a fixed Alice map f Bob's best reply decomposes per question,
 
     score(f) = sum_y max_b sum_x T[x, f(x), y, b].
 
-Alice's maps are enumerated with a meet-in-the-middle split of her input set:
-partial sums over each half are tabulated once, as first[i, b, y] and
-second[b, y, j], and a block of first-half rows is scored plane by plane (one
-add and one running maximum per b into buffers allocated once per scan, then
-a sum over the middle y axis).  When T * L is integral to the last bit for
-L = (question pairs) * 2^24, as for every uniform-question game, the scores
-are exact integers in the narrowest of int8/int16/int32 that holds them;
-otherwise they are float64.  Maps are indexed row-major, f(0) most
+Alice's maps are enumerated meeting in the middle at question ``split`` (nX//2
+by default): partial sums over each part are tabulated once, as first[i, b, y]
+and second[b, y, j], and a block of first-part rows is scored plane by plane
+(one add and one running maximum per b into buffers allocated once per scan,
+then a sum over the middle y axis).  When T * L is integral to the last bit
+for L = (question pairs) * 2^24, as for every uniform-question game, the
+scores are exact integers in the narrowest of int8/int16/int32 that holds
+them; otherwise they are float64.  Maps are indexed row-major, f(0) most
 significant; ties break to the lowest index, exactly on the integer path.
-``map_digits`` inverts this order, for maps and for tuple alphabets alike,
-and ``coordinate_blocks`` views an array over tuple alphabets by coordinate.
+``map_digits`` inverts this order, for maps and for tuple alphabets alike, and
+``coordinate_blocks`` views an array over tuple alphabets by coordinate.
 Reported values always come from ``best_reply`` on T.
 
-``argmax_strategy`` can scan only the maps whose first-half row, the digits
-f(0), ..., f(nX//2 - 1), is in a sorted set of rows, gathered block by block
-into one buffer.  ``optimize.local_value`` passes the rows that are canonical
-along a stabiliser chain of the game's relabelings; relabeling an optimum
-keeps its score, so the lowest-index optimum is among them.
+``argmax_strategy`` can scan only the maps whose first-part row f(0), ...,
+f(split - 1) is in a sorted set of rows, summing ``first`` for those alone.
+``optimize.local_value`` passes the rows canonical along a stabiliser chain
+of the game's relabelings, and the split the chain's counts choose; relabeling
+an optimum keeps its score, so the lowest-index optimum is among them.
 """
 
 from __future__ import annotations
@@ -59,28 +59,30 @@ def partial_scores(weights: np.ndarray, inputs: range) -> np.ndarray:
     return scores
 
 
-def scan_scores(tensor: np.ndarray, rows=None):
+def scan_scores(tensor: np.ndarray, rows=None, split=None):
     """Yield (ids, scores) blocks covering, in index order, every Alice map
-    whose first-half row is in ``rows`` (sorted; every row when None).
+    whose first ``split`` digits are a row in ``rows`` (sorted; all if None).
 
     ``scores[i, j]`` ranks map ``ids[i] * n2 + j``, with n2 = scores.shape[1]
-    the second-half rows, in the units of ``kernel_weights(tensor)``; the
-    block is overwritten by the next one.
+    the rows of the second part, in the units of ``kernel_weights(tensor)``;
+    the block is overwritten by the next one.
     """
     weights = kernel_weights(tensor)
     n_x, n_a, n_b, n_y = weights.shape
-    first = partial_scores(weights, range(n_x // 2))
-    second = np.ascontiguousarray(partial_scores(weights, range(n_x // 2, n_x)).transpose(1, 2, 0))
+    if rows is None:
+        split, rows = n_x // 2, np.arange(n_a ** (n_x // 2))
+        first = partial_scores(weights, range(split))
+    else:  # the partial sums of the kept rows alone, one question at a time
+        first = sum((weights[x, d] for x, d in enumerate(map_digits(rows, split, n_a).T)),
+                    np.zeros((len(rows), n_b, n_y), dtype=weights.dtype))
+    second = np.ascontiguousarray(partial_scores(weights, range(split, n_x)).transpose(1, 2, 0))
     n2 = second.shape[2]
-    ids_all = np.arange(len(first)) if rows is None else np.asarray(rows)
-    chunk = min(len(ids_all), max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
+    chunk = min(len(rows), max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
     best, trial = np.empty((2, chunk, n_y, n2), dtype=weights.dtype)
     totals = np.empty((chunk, n2), dtype=weights.dtype)
-    gathered = np.empty((chunk, n_b, n_y), dtype=weights.dtype)
-    for start in range(0, len(ids_all), chunk):
-        ids = ids_all[start:start + chunk]
-        block = (first[start:start + len(ids)] if rows is None else
-                 np.take(first, ids, axis=0, out=gathered[:len(ids)]))[..., None]
+    for start in range(0, len(rows), chunk):
+        ids = rows[start:start + chunk]
+        block = first[start:start + len(ids), ..., None]
         m, t, s = best[:len(ids)], trial[:len(ids)], totals[:len(ids)]
         np.add(block[:, 0], second[0], out=m)
         for b in range(1, n_b):
@@ -110,13 +112,13 @@ def best_reply(tensor: np.ndarray, f: tuple[int, ...]) -> tuple[tuple[int, ...],
     return g, value
 
 
-def argmax_strategy(tensor: np.ndarray, rows=None
+def argmax_strategy(tensor: np.ndarray, rows=None, split=None
                     ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """The best deterministic pair (value, f, g) among the Alice maps whose
-    first-half row is in ``rows`` (all maps when it is None)."""
+    first ``split`` digits form a row in ``rows`` (all maps when it is None)."""
     best_score = -np.inf
     best_index = -1
-    for ids, scores in scan_scores(tensor, rows):
+    for ids, scores in scan_scores(tensor, rows, split):
         i, j = np.unravel_index(np.argmax(scores), scores.shape)
         if scores[i, j] > best_score:
             best_score = float(scores[i, j])

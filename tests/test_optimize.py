@@ -55,6 +55,20 @@ def consecutive_difference_lp(game):
     return (game.dist[:, :, None, None] * game.win).ravel(), np.array(rows), b_eq
 
 
+def entrywise_lp_matrix(game):
+    """Reference for the matrix of ``ns_value_lp``, dense, one p entry at a time."""
+    nX, nY, nA, nB = game.shape
+    n_p, n_pairs = game.win.size, nX * nY
+    dense = np.zeros((n_pairs * (1 + nA + nB), n_p + nX * nA + nY * nB))
+    for col, (x, y, a, b) in enumerate(itertools.product(*map(range, game.shape))):
+        alice = n_pairs + (x * nA + a) * nY + y
+        bob = n_pairs + nX * nA * nY + (y * nB + b) * nX + x
+        dense[[x * nY + y, alice, bob], col] = 1.0
+        dense[alice, n_p + x * nA + a] = -1.0
+        dense[bob, n_p + nX * nA + y * nB + b] = -1.0
+    return dense
+
+
 def stacked_lp_orbits(game):
     """Reference orbit labels of the columns and the rows of ``ns_value_lp(game)``:
     every lifted relabeling applied to every LP point, and the labels
@@ -134,6 +148,30 @@ class TestNsValue:
         value, corr = ns_value(iterate(memory_game(chsh()), 3))
         assert value == 1.0 and corr.shape == (16, 16, 16, 16)
         assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (1088, 4224)
+
+    @pytest.mark.parametrize("make, n", [(embed, 1), (memory_game, 1), (embed, 2)])
+    def test_lp_matrix_matches_entrywise_reference(self, make, n):
+        from test_games import symmetric_bases
+
+        from nsgames.optimize import ns_value_lp
+
+        for base in symmetric_bases() + [random_game((2, 3, 3, 2), rand.generator(4))]:
+            game = iterate(make(base), n)
+            if game.win.size <= 4096:
+                a_eq = ns_value_lp(game).a_eq
+                assert a_eq.has_canonical_format and a_eq.indices.dtype == np.int32
+                assert np.array_equal(a_eq.toarray(), entrywise_lp_matrix(game))
+
+    def test_full_lp_memory(self):
+        # chsh^5: 3.2e6 full-LP entries, under 55 B each with the orbit LP and the solve
+        stage = iterate(embed(chsh()), 5)
+        tracemalloc.start()
+        try:
+            value, _ = ns_value(stage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0 and peak < 175 * 10 ** 6
 
     @pytest.mark.parametrize("case", ["memory(R0)^3", "memory(R0)^4", "chsh^6"])
     def test_over_budget_refused_fast(self, case):
@@ -263,31 +301,6 @@ class TestNsValue:
             ns_value(stage)
 
 
-def symmetric_iterates():
-    """Embed and memory iterates, n <= 2, of bases with relabelings, including
-    all-win and never-win, within the kernel's reach."""
-    from test_games import symmetric_bases
-
-    bases = symmetric_bases() + [all_win(2, 2, 2, 2), never_win(2, 2, 2, 2)]
-    for i, base in enumerate(bases):
-        for make in (embed, memory_game):
-            for n in (1, 2):
-                stage = iterate(make(base), n)
-                if stage.nA ** stage.nX <= 8 ** 8:
-                    yield pytest.param(stage, id=f"{make.__name__}-{i}-{n}")
-    yield pytest.param(iterate(embed(chsh()), 3), id="embed-chsh-3")
-
-
-@pytest.mark.parametrize("stage", list(symmetric_iterates()))
-def test_symmetry_reduction_keeps_answers(stage):
-    # the same game without relabelings: unreduced scan and full LP
-    plain = FiniteGame(stage.win, stage.dist)
-    assert stage.symmetry and not plain.symmetry
-    assert local_value(stage) == local_value(plain)
-    if stage.win.size <= 4096:
-        assert ns_value(stage)[0] == pytest.approx(ns_value(plain)[0], abs=1e-9)
-
-
 def orbit_iterates():
     """Every embed and memory iterate, n <= 2, of the bases with relabelings,
     one of them with one-letter alphabets, and memory(chsh)^3."""
@@ -299,6 +312,25 @@ def orbit_iterates():
             for n in (1, 2):
                 yield pytest.param(iterate(make(base), n), id=f"{make.__name__}-{i}-{n}")
     yield pytest.param(iterate(memory_game(chsh()), 3), id="memory-chsh-3")
+
+
+def symmetric_iterates():
+    """Every ``orbit_iterates()`` case within the kernel's reach, and iid chsh^3."""
+    for param in orbit_iterates():
+        stage, = param.values
+        if stage.nA ** stage.nX <= 8 ** 8:
+            yield param
+    yield pytest.param(iterate(embed(chsh()), 3), id="embed-chsh-3")
+
+
+@pytest.mark.parametrize("stage", list(symmetric_iterates()))
+def test_symmetry_reduction_keeps_answers(stage):
+    # the same game without relabelings: unreduced scan and full LP
+    plain = FiniteGame(stage.win, stage.dist)
+    assert stage.symmetry and not plain.symmetry
+    assert local_value(stage) == local_value(plain)
+    if stage.win.size <= 4096:
+        assert ns_value(stage)[0] == pytest.approx(ns_value(plain)[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("stage", list(orbit_iterates()))
@@ -331,15 +363,15 @@ def brute_force_canonical_rows(game):
     """Reference for ``_canonical_rows``: every element of the product group
     G^width, lifted to Alice's questions and answers, tested against every
     prefix f(0..levels-1) at every level k of the lex-leader rule, for as
-    many levels as fit 2^22 (element, prefix) pairs.  Base elements that act
-    alike on Alice are kept once.  Returns (levels, rows)."""
+    many levels, up to nX, as fit 2^22 (element, prefix) pairs.  Base
+    elements that act alike on Alice are kept once.  Returns (levels, rows)."""
     from nsgames.strategies import map_digits
 
     group, width = game.symmetry
     n_x, n_a = len(group[0][0]), group[0][2].shape[1]
     alice = np.unique([np.concatenate([px, sa.ravel()]) for px, _, sa, _ in group], axis=0)
     px, sa = alice[:, :n_x].astype(np.int16), alice[:, n_x:].reshape(-1, n_x, n_a).astype(np.int16)
-    levels = game.nX // 2
+    levels = game.nX
     while game.nA ** levels * len(px) ** width > 2 ** 22:
         levels -= 1
     dx = map_digits(np.arange(game.nX), width, n_x)
@@ -351,12 +383,12 @@ def brute_force_canonical_rows(game):
                    for i, c in enumerate(choice))  # (elements, nX, nA)
     prefixes = map_digits(np.arange(game.nA ** levels), levels, game.nA)
     kept = np.ones(len(prefixes), dtype=bool)
+    fixes_earlier = np.ones((len(lifted_x), len(prefixes)), dtype=bool)  # answers at 0..k-1
     for k in range(levels):
         fixing = (lifted_x[:, :k + 1] == np.arange(k + 1)).all(axis=1)
-        earlier = lifted_a[:, np.arange(k), prefixes[:, :k]]  # (elements, prefixes, k)
-        stabiliser = fixing[:, None] & (earlier == prefixes[:, :k]).all(axis=-1)
-        lowered = lifted_a[:, k, prefixes[:, k]] < prefixes[:, k]
-        kept &= ~(stabiliser & lowered).any(axis=0)
+        image = lifted_a[:, k, prefixes[:, k]]  # (elements, prefixes)
+        kept &= ~(fixing[:, None] & fixes_earlier & (image < prefixes[:, k])).any(axis=0)
+        fixes_earlier &= image == prefixes[:, k]
     return levels, np.flatnonzero(kept)
 
 
@@ -378,6 +410,35 @@ def test_chain_stops_refining_over_entry_budget(monkeypatch):
     assert full.size < coarse.size < 8 ** 4 and np.isin(full, coarse).all()
     assert np.array_equal(coarse, np.unique(coarse))
     assert local_value(stage) == local_value(FiniteGame(stage.win, stage.dist))
+
+
+@pytest.mark.parametrize("base, make, n, split, maps", [
+    (0, memory_game, 2, 5, 512 * 8 ** 3), (0, embed, 3, 5, 512 * 8 ** 3), (0, memory_game, 1, 3, 4 * 4),
+    (1, embed, 2, 4, 64 * 4 ** 5), (1, memory_game, 1, 4, 64 * 4 ** 5), (2, memory_game, 1, 2, 324),
+    (3, memory_game, 2, 4, 8 ** 8), (4, memory_game, 2, 4, 8 ** 8)])
+def test_scan_split_follows_the_chain(base, make, n, split, maps):
+    # chsh: the levels past the half cut while balanced; chained3: level 5
+    # keeps 256 = 4 x 64 rows; ternary: level 3 cuts, to more rows than the
+    # 9 maps after it; the seeded bases' relabelings move Bob alone
+    from test_games import symmetric_bases
+
+    from nsgames.optimize import _scan_rows
+
+    stage = iterate(make(symmetric_bases()[base]), n)
+    rows, got = _scan_rows(stage)
+    assert (got, rows.size * stage.nA ** (stage.nX - got)) == (split, maps)
+
+
+def test_trivial_group_splits_at_half():
+    from nsgames.optimize import _scan_rows
+
+    game = random_game((5, 2, 3, 2), rand.generator(7))
+    identity = (np.arange(5), np.arange(2), np.tile(np.arange(3), (5, 1)),
+                np.tile(np.arange(2), (2, 1)))
+    object.__setattr__(game, "symmetry", ((identity,), 1))
+    rows, split = _scan_rows(game)
+    assert split == 2 and np.array_equal(rows, np.arange(9))
+    assert local_value(game) == local_value(FiniteGame(game.win, game.dist))
 
 
 @pytest.mark.parametrize("make, n", [(memory_game, 2), (embed, 3)])

@@ -67,15 +67,16 @@ class TestAgainstBruteForce:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=shapes, data=st.data())
     def test_rows_restrict_the_scan(self, seed, shape, data):
-        # only maps whose first-half row is in ``rows`` compete; ties to the lowest index
+        # only maps whose first ``split`` digits form a row in ``rows`` compete;
+        # ties to the lowest index
         tensor = random_case(seed, shape, 10)
-        half = shape[0] // 2
-        rows = sorted(data.draw(st.sets(st.integers(0, shape[2] ** half - 1), min_size=1)))
-        prefixes = {tuple(d) for d in map_digits(np.array(rows), half, shape[2]).tolist()}
+        split = data.draw(st.integers(shape[0] // 2, shape[0]))
+        rows = sorted(data.draw(st.sets(st.integers(0, shape[2] ** split - 1), min_size=1)))
+        prefixes = {tuple(d) for d in map_digits(np.array(rows), split, shape[2]).tolist()}
         ranking = brute_force_ranking(tensor)
-        kept = [k for k, (_, f, _) in enumerate(ranking) if f[:half] in prefixes]
+        kept = [k for k, (_, f, _) in enumerate(ranking) if f[:split] in prefixes]
         best = min(kept, key=lambda k: (-ranking[k][0], k))
-        assert argmax_strategy(tensor, rows=np.array(rows)) == ranking[best]
+        assert argmax_strategy(tensor, np.array(rows), split) == ranking[best]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=shapes)
