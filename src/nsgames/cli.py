@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="value type: local, no-signalling, or quantum-spatial")
     engine.add_argument("--d", type=_int_at_least(1), default=2,
                         help="see-saw local dimension")
-    engine.add_argument("--seeds", type=_int_at_least(1), default=20, help="see-saw restarts")
+    engine.add_argument("--seeds", type=_int_at_least(1), default=20, help="see-saw seeds S: "
+                        "the loc optimum and random restarts S//2..S-1, or S random ones")
     engine.add_argument("--sweeps", type=_int_at_least(0), default=200,
                         help="see-saw sweeps per restart")
     engine.add_argument("--rng-seed", type=int, default=0, help="64-bit RNG seed")

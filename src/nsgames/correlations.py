@@ -125,22 +125,22 @@ def is_no_signalling(corr: Correlation, tol: float = INVARIANT_TOL) -> tuple[boo
     return cert.worst <= tol, cert
 
 
-def marginal_A(corr: Correlation, tol: float = 1e-7) -> np.ndarray:
+def marginal_A(corr: Correlation, tol: float = INVARIANT_TOL) -> np.ndarray:
     """Alice's marginal q(a|x), well defined by no-signalling (checked)."""
+    return _marginal(corr, tol, alice=True)
+
+
+def marginal_B(corr: Correlation, tol: float = INVARIANT_TOL) -> np.ndarray:
+    """Bob's marginal r(b|y), well defined by no-signalling (checked)."""
+    return _marginal(corr, tol, alice=False)
+
+
+def _marginal(corr: Correlation, tol: float, alice: bool) -> np.ndarray:
     ok, cert = is_no_signalling(corr, tol)
     if not ok:
         raise PreconditionError(
             f"correlation is signalling (defect {cert.worst:.3e})", witness=cert)
-    return corr.p[:, 0, :, :].sum(axis=2)
-
-
-def marginal_B(corr: Correlation, tol: float = 1e-7) -> np.ndarray:
-    """Bob's marginal r(b|y)."""
-    ok, cert = is_no_signalling(corr, tol)
-    if not ok:
-        raise PreconditionError(
-            f"correlation is signalling (defect {cert.worst:.3e})", witness=cert)
-    return corr.p[0, :, :, :].sum(axis=1)
+    return corr.p[:, 0].sum(axis=2) if alice else corr.p[0].sum(axis=1)
 
 
 def _check_stochastic(table: np.ndarray, name: str, tol: float = INVARIANT_TOL) -> np.ndarray:

@@ -20,8 +20,8 @@ Every threshold the package applies is one of these, sized for:
 A failed check raises ValidationError (or NotPsdError) for an object's
 invariant, PreconditionError for inputs outside an operation's domain, and
 NumericError for a computed result.  The see-saw's step thresholds, the
-``tol`` defaults of ``is_local`` and ``marginal_A``/``marginal_B`` and the
-Gram-Schmidt floor of ``linalg.extend_isometry_to_unitary`` are separate.
+``tol`` default of ``is_local`` and the Gram-Schmidt floor of
+``linalg.extend_isometry_to_unitary`` are separate.
 
 Each engine counts, from shapes, the units of what it would build before it
 allocates or imports scipy; ``require_budget`` refuses more than a budget.  No

@@ -24,9 +24,9 @@ Three engines live here:
   earlier questions and answers (the split, from nX//2, moves on while the
   chain cuts and stays balanced), which keeps the lowest-index optimum.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
-  measurements, and the shared state, returning a certified quantum-spatial
-  lower bound (the certificate is an explicit finite-dimensional strategy).
-  One sweep is batched over all running seeds and all inputs: each sub-step
+  measurements, and the shared state from the ``local_value`` optimum and
+  random restarts, returning a certified quantum-spatial lower bound (the
+  certificate is an explicit finite-dimensional strategy).  One sweep is batched over all running seeds and all inputs: each sub-step
   is a few stacked LAPACK calls (``eigh``, and ``qr`` for the complement
   bases of the greedy k-outcome step) rather than one call per matrix.
 """
@@ -233,7 +233,11 @@ def _chain_rows(game: "FiniteGame"):
     level k each coordinate of f(k) is the least of its orbit under the base
     relabelings fixing that coordinate's questions 0..k and answers at 0..k-1.
     A level whose masks over the group would not fit ``ENTRY_BUDGET`` is left
-    unrefined, and so is every later one, since rows never shrink."""
+    unrefined, and so is every later one, since rows never shrink.  A game
+    without symmetry keeps every row, range(nA^k)."""
+    if not game.symmetry:
+        yield from (np.arange(game.nA ** k) for k in range(game.nX + 1))
+        return
     group, width = game.symmetry
     px, _, sa, _ = (np.array(part) for part in zip(*group))
     n_a = sa.shape[2]
@@ -274,15 +278,13 @@ def _scan_rows(game: "FiniteGame") -> tuple[np.ndarray, int]:
 
 def local_value(game: "FiniteGame") -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact classical value and an optimal deterministic pair (f, g), over the
-    rows of ``_scan_rows`` when the game has a symmetry.  At every level k they
-    keep the lowest-index optimum f*: an h of the level-k subgroup lowering
-    f*(k) would make h.f* optimal, equal to f* on questions 0..k-1 and lower
-    in index.  The work budget counts nA^(nX-1) maps per f(0) of level 0."""
-    first = _canonical_rows(game, 1).size if game.symmetry else game.nA
-    require_budget(first * game.nA ** (game.nX - 1), WORK_BUDGET,
+    rows of ``_scan_rows``.  At every level k they keep the lowest-index
+    optimum f*: an h of the level-k subgroup lowering f*(k) would make h.f*
+    optimal, equal to f* on questions 0..k-1 and lower in index.  The work
+    budget counts nA^(nX-1) maps per f(0) of level 0."""
+    require_budget(_canonical_rows(game, 1).size * game.nA ** (game.nX - 1), WORK_BUDGET,
                    "loc enumeration of Alice's maps (ns_value gives an upper bound)")
-    rows, split = _scan_rows(game) if game.symmetry else (None, None)
-    value, f, g = strategies.argmax_strategy(_payoff_tensor(game), rows, split)
+    value, f, g = strategies.argmax_strategy(_payoff_tensor(game), *_scan_rows(game))
     return value, (f, g)
 
 
@@ -304,10 +306,10 @@ def top_deterministic_strategies(
 class SeesawState:
     """A quantum-spatial strategy found by the see-saw, with its value.
 
-    ``history`` is the winning seed's objective after each sweep (starting
+    ``history`` is the winning restart's objective after each sweep (starting
     from the initial strategy); ``all_histories`` collects one such trace per
-    seed, in seed order.  The value is a certified lower bound on the
-    quantum-spatial game value at this dimension.
+    restart, in the order of ``_seed_strategies``.  The value is a certified
+    lower bound on the quantum-spatial game value at this dimension.
     """
 
     dimension: int
@@ -405,55 +407,55 @@ def seesaw_state_update(operator: np.ndarray) -> np.ndarray:
 
 
 def _seed_strategies(game: "FiniteGame", dim: int, seeds: int, rng_seed: int):
-    """Initial (alice, bob, psi) stacks over the seeds: half top deterministic
-    embeddings, half noisy random.
-
-    The deterministic half guarantees the final lower bound dominates the
-    classical value (the see-saw never decreases the objective).  Games too
-    large to rank deterministically fall back to all-random seeding.  Each random
-    seed draws eta_a, eta_b, its bases' Gaussians, its state; one QR serves all.
-    """
+    """Initial (alice, bob, psi) stacks for S = ``seeds``: restart 0 embeds
+    ``local_value``'s pair, then noisy random restarts from keys S//2 .. S-1
+    of ``rand.derive_keys(rng_seed, S)``; all S random for S = 1 or a game
+    over the ``loc`` budget.  Restart 0 keeps the bound at or above ``loc``,
+    as the see-saw never decreases the objective; from a deterministic pair
+    and psi = e_0 every sub-step stays diagonal, so no other deterministic
+    restart could pass ``loc``.  Each random restart draws eta_a, eta_b, its
+    bases' Gaussians, its state; one QR serves all."""
     nX, nY, nA, nB = game.shape
-    n_det = seeds // 2
-    try:
-        det = [(f, g) for f, g, _ in top_deterministic_strategies(game, n_det)] if n_det else []
-    except TooLargeError:
-        det = []
-    n_det = n_det if det else 0
-    alice = np.empty((seeds, nX, nA, dim, dim), dtype=complex)
-    bob = np.empty((seeds, nY, nB, dim, dim), dtype=complex)
-    psi = np.zeros((seeds, dim * dim), dtype=complex)
-    for i in range(n_det):
-        f, g = det[i % len(det)]  # E(a|x) = [a = f(x)] I, and F(b|y) likewise
+    keys, det = rand.derive_keys(rng_seed, seeds), []
+    if seeds > 1:
+        try:
+            det, keys = [local_value(game)[1]], keys[seeds // 2:]
+        except TooLargeError:
+            pass
+    alice = np.empty((len(det) + len(keys), nX, nA, dim, dim), dtype=complex)
+    bob = np.empty((len(alice), nY, nB, dim, dim), dtype=complex)
+    psi = np.zeros((len(alice), dim * dim), dtype=complex)
+    for i, (f, g) in enumerate(det):  # E(a|x) = [a = f(x)] I, and F(b|y) likewise
         alice[i], bob[i] = (np.einsum("xa,ij->xaij", np.eye(n, dtype=complex)[list(h)], np.eye(dim))
                             for h, n in ((f, nA), (g, nB)))
         psi[i, 0] = 1.0
     etas, gauss = [], []
-    for i, key in enumerate(rand.derive_keys(rng_seed, seeds)[n_det:], start=n_det):
+    for i, key in enumerate(keys, start=len(det)):
         rng = rand.generator(key)
         etas.append((rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)))
         gauss.append(rng.standard_normal((nX + nY, 2, dim, dim)))
         psi[i] = rand.random_state(dim * dim, rng)
     etas, gauss = np.array(etas), np.array(gauss)
     bases = rand.random_unitaries(gauss[:, :, 0] + 1j * gauss[:, :, 1])
-    alice[n_det:] = rand.noisy_basis_effects(bases[:, :nX], nA, etas[:, :1])
-    bob[n_det:] = rand.noisy_basis_effects(bases[:, nX:], nB, etas[:, 1:])
+    alice[len(det):] = rand.noisy_basis_effects(bases[:, :nX], nA, etas[:, :1])
+    bob[len(det):] = rand.noisy_basis_effects(bases[:, nX:], nB, etas[:, 1:])
     return alice, bob, psi
 
 
 def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
               max_sweeps: int = 200, rng_seed: int = 0) -> SeesawState:
-    """Best see-saw strategy over all seeds; a lower bound on the qs value.
+    """Best see-saw strategy over all restarts; a lower bound on the qs value.
 
-    Each sweep updates Alice's POVMs, then Bob's, then the state, every
-    sub-step being an exact or non-decreasing ascent step.  A sweep is batched
-    over the seeds still running and over the inputs: each sub-step is one
-    stacked call of ``seesaw_measurement_update`` or ``seesaw_state_update``
-    (whose greedy k-outcome step takes its complement bases from QR).  A seed
-    stops when the relative gain over one sweep falls below 1e-10 and keeps its
-    own history.  Ties across seeds break to the lowest seed index.  One sweep's
-    work and the seeds' stacks are checked against the ``errors`` budgets first;
-    the random seeds' bases then come from one stacked QR (``_seed_strategies``).
+    The restarts come from ``_seed_strategies``.  Each sweep updates Alice's
+    POVMs, then Bob's, then the state, every sub-step being an exact or
+    non-decreasing ascent step.  A sweep is batched over the restarts still
+    running and over the inputs: each sub-step is one stacked call of
+    ``seesaw_measurement_update`` or ``seesaw_state_update`` (whose greedy
+    k-outcome step takes its complement bases from QR).  A restart stops
+    when the relative gain over one sweep falls below 1e-10 and keeps its
+    own history.  Ties across restarts break to the lowest index, so to the
+    ``loc`` optimum first.  One sweep's work and the seeds' stacks are
+    checked against the ``errors`` budgets first.
     """
     if dim < 1:
         raise ValidationError("dimension >= 1", residual=float(dim))
@@ -471,7 +473,7 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
         return (weight * qs_probabilities(a, b, p)).reshape(len(p), -1).sum(axis=1)
 
     histories = [[v] for v in values(alice, bob, psi).tolist()]
-    active = np.arange(seeds)
+    active = np.arange(len(histories))
     for _ in range(max_sweeps):
         if active.size == 0:
             break

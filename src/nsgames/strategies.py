@@ -6,24 +6,23 @@ and for a fixed Alice map f Bob's best reply decomposes per question,
 
     score(f) = sum_y max_b sum_x T[x, f(x), y, b].
 
-Alice's maps are enumerated meeting in the middle at question ``split`` (nX//2
-by default): partial sums over each part are tabulated once, as first[i, b, y]
-and second[b, y, j], and a block of first-part rows is scored plane by plane
-(one add and one running maximum per b into buffers allocated once per scan,
-then a sum over the middle y axis).  When T * L is integral to the last bit
-for L = (question pairs) * 2^24, as for every uniform-question game, the
-scores are exact integers in the narrowest of int8/int16/int32 that holds
-them; otherwise they are float64.  Maps are indexed row-major, f(0) most
+Alice's maps are enumerated meeting in the middle at question ``split``,
+over the maps whose first part f(0), ..., f(split - 1) is one of a sorted
+set of rows: ``partial_scores`` sums both parts in question order, as
+first[i, b, y] over those rows and second[b, y, j] over every map of the
+later questions, and a block of rows is scored plane by plane (one add and
+one running maximum per b into buffers allocated once per scan, then a sum
+over the middle y axis).  When T * L is integral to the last bit for
+L = (question pairs) * 2^24, as for every uniform-question game, the scores
+are exact integers in the narrowest of int8/int16/int32 that holds them;
+otherwise they are float64.  Maps are indexed row-major, f(0) most
 significant; ties break to the lowest index, exactly on the integer path.
-``map_digits`` inverts this order, for maps and for tuple alphabets alike, and
-``coordinate_blocks`` views an array over tuple alphabets by coordinate.
-Reported values always come from ``best_reply`` on T.
-
-``argmax_strategy`` can scan only the maps whose first-part row f(0), ...,
-f(split - 1) is in a sorted set of rows, summing ``first`` for those alone.
-``optimize.local_value`` passes the rows canonical along a stabiliser chain
-of the game's relabelings, and the split the chain's counts choose; relabeling
-an optimum keeps its score, so the lowest-index optimum is among them.
+``map_digits`` inverts this order, for maps and for tuple alphabets alike,
+and ``coordinate_blocks`` views an array over tuple alphabets by coordinate.
+Reported values always come from ``best_reply`` on T.  ``local_value``
+passes the rows canonical along a stabiliser chain of the game's relabelings
+(all rows without them) and the split the chain's counts choose, and
+``top_strategies`` every row at split nX//2.
 """
 
 from __future__ import annotations
@@ -49,19 +48,20 @@ def kernel_weights(tensor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tensor.transpose(0, 1, 3, 2), dtype=np.float64)
 
 
-def partial_scores(weights: np.ndarray, inputs: range) -> np.ndarray:
-    """Partial sums S[v] = sum_{x in inputs} W[x, digit_x(v)] over all digit
-    combinations, most significant digit first; shape (nA^len, nB, nY)."""
-    _, _, n_b, n_y = weights.shape
-    scores = np.zeros((1, n_b, n_y), dtype=weights.dtype)
-    for x in inputs:
-        scores = (scores[:, None] + weights[x][None]).reshape(-1, n_b, n_y)
+def partial_scores(weights: np.ndarray, rows: np.ndarray, start: int, length: int) -> np.ndarray:
+    """Partial sums S[i] = sum_k W[start + k, digit_k(rows[i])] over the
+    ``length`` questions from ``start``, added in question order; shape
+    (len(rows), nB, nY)."""
+    _, n_a, n_b, n_y = weights.shape
+    scores = np.zeros((len(rows), n_b, n_y), dtype=weights.dtype)
+    for k, digits in enumerate(map_digits(rows, length, n_a).T):
+        scores += weights[start + k].take(digits, axis=0)
     return scores
 
 
-def scan_scores(tensor: np.ndarray, rows=None, split=None):
+def scan_scores(tensor: np.ndarray, rows: np.ndarray, split: int):
     """Yield (ids, scores) blocks covering, in index order, every Alice map
-    whose first ``split`` digits are a row in ``rows`` (sorted; all if None).
+    whose first ``split`` digits are a row in ``rows`` (sorted).
 
     ``scores[i, j]`` ranks map ``ids[i] * n2 + j``, with n2 = scores.shape[1]
     the rows of the second part, in the units of ``kernel_weights(tensor)``;
@@ -69,13 +69,9 @@ def scan_scores(tensor: np.ndarray, rows=None, split=None):
     """
     weights = kernel_weights(tensor)
     n_x, n_a, n_b, n_y = weights.shape
-    if rows is None:
-        split, rows = n_x // 2, np.arange(n_a ** (n_x // 2))
-        first = partial_scores(weights, range(split))
-    else:  # the partial sums of the kept rows alone, one question at a time
-        first = sum((weights[x, d] for x, d in enumerate(map_digits(rows, split, n_a).T)),
-                    np.zeros((len(rows), n_b, n_y), dtype=weights.dtype))
-    second = np.ascontiguousarray(partial_scores(weights, range(split, n_x)).transpose(1, 2, 0))
+    first = partial_scores(weights, rows, 0, split)
+    second = partial_scores(weights, np.arange(n_a ** (n_x - split)), split, n_x - split)
+    second = np.ascontiguousarray(second.transpose(1, 2, 0))
     n2 = second.shape[2]
     chunk = min(len(rows), max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
     best, trial = np.empty((2, chunk, n_y, n2), dtype=weights.dtype)
@@ -112,10 +108,10 @@ def best_reply(tensor: np.ndarray, f: tuple[int, ...]) -> tuple[tuple[int, ...],
     return g, value
 
 
-def argmax_strategy(tensor: np.ndarray, rows=None, split=None
+def argmax_strategy(tensor: np.ndarray, rows: np.ndarray, split: int
                     ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """The best deterministic pair (value, f, g) among the Alice maps whose
-    first ``split`` digits form a row in ``rows`` (all maps when it is None)."""
+    first ``split`` digits form a row in ``rows``."""
     best_score = -np.inf
     best_index = -1
     for ids, scores in scan_scores(tensor, rows, split):
@@ -131,7 +127,8 @@ def argmax_strategy(tensor: np.ndarray, rows=None, split=None
 def top_strategies(tensor: np.ndarray, count: int):
     """The ``count`` best pairs as (value, f, g), by score then map index."""
     top_scores = top_indices = np.zeros(0, dtype=np.int64)
-    for ids, block in scan_scores(tensor):
+    split = tensor.shape[0] // 2
+    for ids, block in scan_scores(tensor, np.arange(tensor.shape[1] ** split), split):
         # A later map enters only by beating the count-th best so far, and the
         # stable sort keeps tied maps in index order (kept ones come first).
         n2, block = block.shape[1], block.reshape(-1)

@@ -173,6 +173,15 @@ class TestNoSignalling:
         with pytest.raises(PreconditionError):
             marginal_A(Correlation(p))
 
+    @pytest.mark.parametrize("marginal", [marginal_A, marginal_B])
+    def test_marginals_default_to_invariant_tol(self, marginal):
+        p = pr_box().p.copy()
+        p[0, 0, 0, 0] -= 1e-8  # Bob's marginal signals by 1e-8 > INVARIANT_TOL
+        p[0, 0, 0, 1] += 1e-8
+        with pytest.raises(PreconditionError):
+            marginal(Correlation(p))
+        assert marginal(Correlation(p), tol=1e-7).shape == (2, 2)
+
     def test_deterministic_marginal(self):
         corr = deterministic_correlation((1, 0), (0, 1), 2, 2)
         marg = marginal_A(corr)

@@ -363,8 +363,9 @@ def brute_force_canonical_rows(game):
     """Reference for ``_canonical_rows``: every element of the product group
     G^width, lifted to Alice's questions and answers, tested against every
     prefix f(0..levels-1) at every level k of the lex-leader rule, for as
-    many levels, up to nX, as fit 2^22 (element, prefix) pairs.  Base
-    elements that act alike on Alice are kept once.  Returns (levels, rows)."""
+    many levels, up to nX, as keep at most 8^5 prefixes.  Base elements that
+    act alike on Alice are kept once, and the elements are taken in chunks of
+    at most 2^22 (element, prefix) pairs.  Returns (levels, rows)."""
     from nsgames.strategies import map_digits
 
     group, width = game.symmetry
@@ -372,7 +373,7 @@ def brute_force_canonical_rows(game):
     alice = np.unique([np.concatenate([px, sa.ravel()]) for px, _, sa, _ in group], axis=0)
     px, sa = alice[:, :n_x].astype(np.int16), alice[:, n_x:].reshape(-1, n_x, n_a).astype(np.int16)
     levels = game.nX
-    while game.nA ** levels * len(px) ** width > 2 ** 22:
+    while game.nA ** levels > 8 ** 5:
         levels -= 1
     dx = map_digits(np.arange(game.nX), width, n_x)
     da = map_digits(np.arange(game.nA), width, n_a)
@@ -383,21 +384,27 @@ def brute_force_canonical_rows(game):
                    for i, c in enumerate(choice))  # (elements, nX, nA)
     prefixes = map_digits(np.arange(game.nA ** levels), levels, game.nA)
     kept = np.ones(len(prefixes), dtype=bool)
-    fixes_earlier = np.ones((len(lifted_x), len(prefixes)), dtype=bool)  # answers at 0..k-1
-    for k in range(levels):
-        fixing = (lifted_x[:, :k + 1] == np.arange(k + 1)).all(axis=1)
-        image = lifted_a[:, k, prefixes[:, k]]  # (elements, prefixes)
-        kept &= ~(fixing[:, None] & fixes_earlier & (image < prefixes[:, k])).any(axis=0)
-        fixes_earlier &= image == prefixes[:, k]
+    chunk = max(1, 2 ** 22 // len(prefixes))
+    for start in range(0, len(lifted_x), chunk):
+        chunk_x, chunk_a = lifted_x[start:start + chunk], lifted_a[start:start + chunk]
+        fixes_earlier = np.ones((len(chunk_x), len(prefixes)), dtype=bool)  # answers at 0..k-1
+        for k in range(levels):
+            fixing = (chunk_x[:, :k + 1] == np.arange(k + 1)).all(axis=1)
+            image = chunk_a[:, k, prefixes[:, k]]  # (elements, prefixes)
+            kept &= ~(fixing[:, None] & fixes_earlier & (image < prefixes[:, k])).any(axis=0)
+            fixes_earlier &= image == prefixes[:, k]
     return levels, np.flatnonzero(kept)
 
 
-@pytest.mark.parametrize("stage", list(orbit_iterates()))
+@pytest.mark.parametrize("stage", list(orbit_iterates()) + [
+    pytest.param(iterate(embed(chsh()), 3), id="embed-chsh-3")])
 def test_chain_rows_match_product_group(stage):
-    from nsgames.optimize import _canonical_rows
+    # within the kernel's reach, up to the split that the scan uses
+    from nsgames.optimize import _canonical_rows, _scan_rows
 
     levels, rows = brute_force_canonical_rows(stage)
     assert np.array_equal(_canonical_rows(stage, levels), rows)
+    assert stage.nA ** stage.nX > 8 ** 8 or levels >= _scan_rows(stage)[1]
 
 
 def test_chain_stops_refining_over_entry_budget(monkeypatch):
@@ -645,15 +652,16 @@ def looped_deterministic_effects(strategy, outcomes, dim):
 
 @pytest.mark.parametrize("shape, dim", [((2, 2, 2, 2), 2), ((3, 2, 3, 4), 3), ((2, 3, 1, 2), 1)])
 def test_deterministic_seeds_match_loop(shape, dim):
+    # restart 0 is local_value's pair, and no other restart is deterministic
     from nsgames.optimize import _seed_strategies
 
     game = random_game(shape, rand.generator(3), uniform_dist=True)
-    seeds = 8
-    ranked = top_deterministic_strategies(game, seeds // 2)
-    for alice, bob, psi, (f, g, _) in zip(*_seed_strategies(game, dim, seeds, 0), ranked):
-        assert alice.tobytes() == looped_deterministic_effects(f, game.nA, dim).tobytes()
-        assert bob.tobytes() == looped_deterministic_effects(g, game.nB, dim).tobytes()
-        assert psi[0] == 1.0 and not psi[1:].any()
+    f, g = local_value(game)[1]
+    alice, bob, psi = _seed_strategies(game, dim, 8, 0)
+    assert len(psi) == 1 + 8 - 4
+    assert alice[0].tobytes() == looped_deterministic_effects(f, game.nA, dim).tobytes()
+    assert bob[0].tobytes() == looped_deterministic_effects(g, game.nB, dim).tobytes()
+    assert psi[0, 0] == 1.0 and not psi[0, 1:].any()
 
 
 def looped_unitary(dim, rng):
@@ -710,16 +718,17 @@ def test_stacked_unitaries_match_loop():
     (iterate(memory_game(chsh()), 2), 4, 20), (random_game((3, 3, 3, 3), rand.generator(7)), 2, 6),
     (random_game((1, 2, 5, 3), rand.generator(8)), 3, 5), (never_win(12, 1, 6, 1), 2, 4)])
 def test_random_seeds_match_loop(game, dim, seeds):
-    # outcomes > d, d = 1, nX = 1; 6^12 maps are too many to rank, so every
-    # seed of never_win(12, 1, 6, 1) is random
+    # outcomes > d, d = 1, nX = 1; 6^12 maps are over the loc budget, so
+    # every seed of never_win(12, 1, 6, 1) is random
     from nsgames.errors import WORK_BUDGET
     from nsgames.optimize import _seed_strategies
 
     alice, bob, psi = _seed_strategies(game, dim, seeds, 11)
     n_random = seeds if game.nA ** game.nX > WORK_BUDGET else seeds - seeds // 2
+    assert len(psi) == n_random + (n_random < seeds)
     looped = looped_random_seeds(game, dim, rand.derive_keys(11, seeds)[seeds - n_random:])
     for stacked, parts in zip((alice, bob, psi), zip(*looped)):
-        assert stacked[seeds - n_random:].tobytes() == np.stack(parts).tobytes()
+        assert stacked[-n_random:].tobytes() == np.stack(parts).tobytes()
 
 
 class TestSeesaw:
@@ -765,15 +774,37 @@ class TestSeesaw:
         assert payoff(game, corr) == pytest.approx(state.value, abs=1e-9)
 
     def test_pinned_three_outcome_game(self):
-        # Sweep counts and values of the per-seed see-saw this batched one replaced.
+        # Sweep counts and values of the per-seed see-saw this batched one
+        # replaced, for its restarts 0, 3, 4 and 5 (the loc optimum and the
+        # random ones; its restarts 1 and 2 were lower-ranked deterministic).
         game = random_game((3, 3, 3, 3), rand.generator(7), win_probability=0.25)
         state = qs_seesaw(game, dim=3, seeds=6, max_sweeps=200, rng_seed=0)
-        assert [len(h) - 1 for h in state.all_histories] == [1, 1, 2, 4, 2, 2]
+        assert [len(h) - 1 for h in state.all_histories] == [1, 4, 2, 2]
         finals = [h[-1] for h in state.all_histories]
-        assert np.allclose(finals, [0.8185688959945294, 0.8011945488469543, 0.8011945488469543,
-                                    0.8185688959945294, 0.7369338542277886, 0.7369338542277883],
-                           rtol=0, atol=1e-12)
+        assert np.allclose(finals, [0.8185688959945294, 0.8185688959945294, 0.7369338542277886,
+                                    0.7369338542277883], rtol=0, atol=1e-12)
         assert state.value == pytest.approx(0.8185688959945294, abs=1e-12)
+
+    @pytest.mark.parametrize("game, seeds, restarts", [
+        (chsh(), 1, 1), (chsh(), 2, 2), (chsh(), 5, 4), (chsh(), 20, 11),
+        (never_win(12, 1, 6, 1), 4, 4)])
+    def test_restart_count(self, game, seeds, restarts):
+        # the loc optimum and seeds - seeds // 2 random restarts; all random
+        # for one seed or a game over the loc budget
+        state = qs_seesaw(game, dim=2, seeds=seeds, max_sweeps=3)
+        assert len(state.all_histories) == restarts
+
+    def test_seeding_does_not_rank(self, monkeypatch):
+        from nsgames import optimize
+
+        def refuse(*args):
+            raise AssertionError("ranking of Alice's maps")
+
+        monkeypatch.setattr(optimize, "top_deterministic_strategies", refuse)
+        game = iterate(memory_game(chsh()), 2)
+        state = qs_seesaw(game, dim=2, seeds=20)
+        assert state.all_histories[0][0] == local_value(game)[0] == 0.96875
+        assert state.value >= 0.96875
 
     @pytest.mark.parametrize("seeds, max_sweeps", [(0, 10), (-2, 10), (4, -1)])
     def test_invalid_budget_raises(self, seeds, max_sweeps):

@@ -18,6 +18,12 @@ def payoff_tensor(win, dist):
     return np.einsum("xy,xyab->xayb", dist, win.astype(float))
 
 
+def every_row(tensor):
+    """(rows, split) that scan every Alice map: all rows at the half split."""
+    split = tensor.shape[0] // 2
+    return np.arange(tensor.shape[1] ** split), split
+
+
 def brute_force_ranking(tensor):
     """Every Alice map in index order, scored over all (f, g) pairs, as
     (score, f, g) with g the lowest-index best reply."""
@@ -59,7 +65,7 @@ class TestAgainstBruteForce:
         assert kernel_weights(tensor).dtype.kind == "i"
         ranking = brute_force_ranking(tensor)
         order = sorted(range(len(ranking)), key=lambda k: (-ranking[k][0], k))
-        value, f, g = argmax_strategy(tensor)
+        value, f, g = argmax_strategy(tensor, *every_row(tensor))
         assert (value, f, g) == ranking[order[0]]
         count = min(5, len(ranking))
         assert top_strategies(tensor, count) == [ranking[k] for k in order[:count]]
@@ -85,7 +91,7 @@ class TestAgainstBruteForce:
         assume(kernel_weights(tensor).dtype == np.float64)  # not one question or no wins
         ranking = brute_force_ranking(tensor)
         scores = sorted((r[0] for r in ranking), reverse=True)
-        value, f, g = argmax_strategy(tensor)
+        value, f, g = argmax_strategy(tensor, *every_row(tensor))
         assert value == pytest.approx(scores[0], abs=1e-12)
         assert ranking[int(np.ravel_multi_index(f, (shape[2],) * shape[0]))][0] == \
             pytest.approx(value, abs=1e-12)
@@ -101,12 +107,12 @@ class TestAgainstBruteForce:
 class TestTies:
     def test_all_win_lowest_index(self):
         tensor = payoff_tensor(all_win(3, 2, 3, 2).win, np.full((3, 2), 1 / 6))
-        value, f, g = argmax_strategy(tensor)
+        value, f, g = argmax_strategy(tensor, *every_row(tensor))
         assert (value, f, g) == (pytest.approx(1.0), (0, 0, 0), (0, 0))
 
     def test_all_lose_lowest_index(self):
         tensor = payoff_tensor(never_win(3, 2, 3, 2).win, np.full((3, 2), 1 / 6))
-        assert argmax_strategy(tensor) == (0.0, (0, 0, 0), (0, 0))
+        assert argmax_strategy(tensor, *every_row(tensor)) == (0.0, (0, 0, 0), (0, 0))
 
     def test_top_orders_equal_scores_by_index(self):
         tensor = payoff_tensor(all_win(2, 2, 3, 2).win, np.full((2, 2), 0.25))
