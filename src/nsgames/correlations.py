@@ -127,20 +127,20 @@ def is_no_signalling(corr: Correlation, tol: float = INVARIANT_TOL) -> tuple[boo
 
 def marginal_A(corr: Correlation, tol: float = INVARIANT_TOL) -> np.ndarray:
     """Alice's marginal q(a|x), well defined by no-signalling (checked)."""
-    return _marginal(corr, tol, alice=True)
+    return _no_signalling(corr, tol).p[:, 0, :, :].sum(axis=2)
 
 
 def marginal_B(corr: Correlation, tol: float = INVARIANT_TOL) -> np.ndarray:
     """Bob's marginal r(b|y), well defined by no-signalling (checked)."""
-    return _marginal(corr, tol, alice=False)
+    return _no_signalling(corr, tol).p[0, :, :, :].sum(axis=1)
 
 
-def _marginal(corr: Correlation, tol: float, alice: bool) -> np.ndarray:
+def _no_signalling(corr: Correlation, tol: float) -> Correlation:
     ok, cert = is_no_signalling(corr, tol)
     if not ok:
         raise PreconditionError(
             f"correlation is signalling (defect {cert.worst:.3e})", witness=cert)
-    return corr.p[:, 0].sum(axis=2) if alice else corr.p[0].sum(axis=1)
+    return corr
 
 
 def _check_stochastic(table: np.ndarray, name: str, tol: float = INVARIANT_TOL) -> np.ndarray:

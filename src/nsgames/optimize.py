@@ -26,14 +26,14 @@ Three engines live here:
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state from the ``local_value`` optimum and
   random restarts, returning a certified quantum-spatial lower bound (the
-  certificate is an explicit finite-dimensional strategy).  One sweep is batched over all running seeds and all inputs: each sub-step
-  is a few stacked LAPACK calls (``eigh``, and ``qr`` for the complement
-  bases of the greedy k-outcome step) rather than one call per matrix.
+  certificate is an explicit finite-dimensional strategy).  One sweep is
+  batched over all running restarts and all inputs: each sub-step is a few
+  stacked LAPACK calls (``eigh``, and ``qr`` for the complement bases of the
+  greedy k-outcome step) rather than one call per matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -229,14 +229,14 @@ def _payoff_tensor(game: "FiniteGame") -> np.ndarray:
 
 def _chain_rows(game: "FiniteGame"):
     """Alice's answer prefixes canonical along a stabiliser chain of the game's
-    symmetry (group, width), as sorted rows, for lengths 0, 1, ..., nX: at
-    level k each coordinate of f(k) is the least of its orbit under the base
-    relabelings fixing that coordinate's questions 0..k and answers at 0..k-1.
-    A level whose masks over the group would not fit ``ENTRY_BUDGET`` is left
-    unrefined, and so is every later one, since rows never shrink.  A game
-    without symmetry keeps every row, range(nA^k)."""
+    symmetry (group, width), as (keep, sorted rows) for lengths 1, ..., nX (see
+    ``strategies.partial_scores``): at level k each coordinate of f(k) is the
+    least of its orbit under the base relabelings fixing that coordinate's
+    questions 0..k and answers at 0..k-1.  A level whose masks over the group
+    would not fit ``ENTRY_BUDGET`` keeps every child, and so does every later
+    one, since rows never shrink; so does every level without symmetry."""
     if not game.symmetry:
-        yield from (np.arange(game.nA ** k) for k in range(game.nX + 1))
+        yield from ((slice(None), np.arange(game.nA ** k)) for k in range(1, game.nX + 1))
         return
     group, width = game.symmetry
     px, _, sa, _ = (np.array(part) for part in zip(*group))
@@ -244,46 +244,45 @@ def _chain_rows(game: "FiniteGame"):
     digits = strategies.map_digits(np.arange(game.nA), width, n_a)  # (nA, width)
     rows, mask = np.zeros(1, dtype=np.int64), np.ones((1, width, len(group)), dtype=bool)
     for k in range(game.nX):
-        yield rows
         if rows.size * width * len(group) * n_a > ENTRY_BUDGET:
-            prefix, answer = np.divmod(np.arange(rows.size * game.nA), game.nA)
+            keep = slice(None)
         else:
             if k:  # the answers kept at question k - 1 stay fixed
+                prefix, answer = np.divmod(keep, game.nA)
                 kept = digits[answer]
                 mask = mask[prefix] & (images[np.arange(width), :, kept] == kept[..., None])
             x = strategies.map_digits(k, width, px.shape[1])
             mask &= (px[:, x] == x).T
             images = sa[:, x].transpose(1, 0, 2)  # (width, group, n_a)
             canonical = np.where(mask[..., None], images, n_a).min(axis=2) == np.arange(n_a)
-            prefix, answer = np.nonzero(canonical[:, np.arange(width), digits].all(axis=-1))
-        rows = rows[prefix] * game.nA + answer
-    yield rows
+            keep = np.flatnonzero(canonical[:, np.arange(width), digits].all(axis=-1))
+        rows = (rows[:, None] * game.nA + np.arange(game.nA)).reshape(-1)[keep]
+        yield keep, rows
 
 
-def _canonical_rows(game: "FiniteGame", levels: int) -> np.ndarray:
-    """The rows of ``_chain_rows`` over the first ``levels`` questions."""
-    return next(itertools.islice(_chain_rows(game), levels, None))
-
-
-def _scan_rows(game: "FiniteGame") -> tuple[np.ndarray, int]:
-    """The kernel's (rows, split): from nX//2, one question later while the next
-    level cuts (fewer than nA rows per row) and keeps no more rows than the maps
-    after it; rows never shrink, so no level is built once they outnumber those."""
-    split, levels = game.nX // 2, _chain_rows(game)
-    rows, room = next(itertools.islice(levels, split, None)), game.nA ** (game.nX - split - 1)
-    while rows.size <= room and rows.size * game.nA > (deeper := next(levels)).size <= room:
-        rows, split, room = deeper, split + 1, room // game.nA
-    return rows, split
+def _scan_rows(game: "FiniteGame") -> tuple[np.ndarray, list]:
+    """The kernel's rows and the chain's keeps up to the split, refused over
+    ``WORK_BUDGET`` at nA^(nX-1) maps per row of level 1: from nX//2, one
+    question later while the next level cuts (fewer than nA rows per row) and
+    keeps at most the maps after it (not built once the rows outnumber those)."""
+    chain, rows, keeps = _chain_rows(game), np.zeros(1, dtype=np.int64), []
+    room = game.nA ** (game.nX - 1)  # maps after the first len(keeps) + 1 questions
+    while len(keeps) < game.nX // 2 or rows.size <= room:
+        keep, deeper = next(chain)
+        if not keeps:
+            require_budget(deeper.size * room, WORK_BUDGET,
+                           "loc enumeration of Alice's maps (ns_value gives an upper bound)")
+        if len(keeps) >= game.nX // 2 and not rows.size * game.nA > deeper.size <= room:
+            break
+        rows, room, keeps = deeper, room // game.nA, keeps + [keep]
+    return rows, keeps
 
 
 def local_value(game: "FiniteGame") -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact classical value and an optimal deterministic pair (f, g), over the
     rows of ``_scan_rows``.  At every level k they keep the lowest-index
     optimum f*: an h of the level-k subgroup lowering f*(k) would make h.f*
-    optimal, equal to f* on questions 0..k-1 and lower in index.  The work
-    budget counts nA^(nX-1) maps per f(0) of level 0."""
-    require_budget(_canonical_rows(game, 1).size * game.nA ** (game.nX - 1), WORK_BUDGET,
-                   "loc enumeration of Alice's maps (ns_value gives an upper bound)")
+    optimal, equal to f* on questions 0..k-1 and lower in index."""
     value, f, g = strategies.argmax_strategy(_payoff_tensor(game), *_scan_rows(game))
     return value, (f, g)
 

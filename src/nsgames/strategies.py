@@ -8,11 +8,11 @@ and for a fixed Alice map f Bob's best reply decomposes per question,
 
 Alice's maps are enumerated meeting in the middle at question ``split``,
 over the maps whose first part f(0), ..., f(split - 1) is one of a sorted
-set of rows: ``partial_scores`` sums both parts in question order, as
-first[i, b, y] over those rows and second[b, y, j] over every map of the
-later questions, and a block of rows is scored plane by plane (one add and
-one running maximum per b into buffers allocated once per scan, then a sum
-over the middle y axis).  When T * L is integral to the last bit for
+set of rows: ``partial_scores`` sums both parts level by level in question
+order, as first[i, b, y] over those rows and second[b, y, j] over every map
+of the later questions, and a block of rows is scored plane by plane (one
+add and one running maximum per b into buffers allocated once per scan, then
+a sum over the middle y axis).  When T * L is integral to the last bit for
 L = (question pairs) * 2^24, as for every uniform-question game, the scores
 are exact integers in the narrowest of int8/int16/int32 that holds them;
 otherwise they are float64.  Maps are indexed row-major, f(0) most
@@ -21,8 +21,8 @@ significant; ties break to the lowest index, exactly on the integer path.
 and ``coordinate_blocks`` views an array over tuple alphabets by coordinate.
 Reported values always come from ``best_reply`` on T.  ``local_value``
 passes the rows canonical along a stabiliser chain of the game's relabelings
-(all rows without them) and the split the chain's counts choose, and
-``top_strategies`` every row at split nX//2.
+(all rows without them) with the chain's keeps up to the split its counts
+choose, and ``top_strategies`` every row at split nX//2.
 """
 
 from __future__ import annotations
@@ -48,20 +48,21 @@ def kernel_weights(tensor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tensor.transpose(0, 1, 3, 2), dtype=np.float64)
 
 
-def partial_scores(weights: np.ndarray, rows: np.ndarray, start: int, length: int) -> np.ndarray:
-    """Partial sums S[i] = sum_k W[start + k, digit_k(rows[i])] over the
-    ``length`` questions from ``start``, added in question order; shape
-    (len(rows), nB, nY)."""
-    _, n_a, n_b, n_y = weights.shape
-    scores = np.zeros((len(rows), n_b, n_y), dtype=weights.dtype)
-    for k, digits in enumerate(map_digits(rows, length, n_a).T):
-        scores += weights[start + k].take(digits, axis=0)
+def partial_scores(weights: np.ndarray, keeps, start: int) -> np.ndarray:
+    """Partial sums from question ``start`` on, one question per ``keep`` in
+    ``keeps``: S[row * nA + a] = S[row] + W[question, a] over every child of
+    the kept rows, of which ``keep`` picks some (``slice(None)`` all)."""
+    _, _, n_b, n_y = weights.shape
+    scores = np.zeros((1, n_b, n_y), dtype=weights.dtype)
+    for question, keep in enumerate(keeps, start=start):
+        scores = (scores[:, None] + weights[question]).reshape(-1, n_b, n_y)[keep]
     return scores
 
 
-def scan_scores(tensor: np.ndarray, rows: np.ndarray, split: int):
+def scan_scores(tensor: np.ndarray, rows: np.ndarray, keeps):
     """Yield (ids, scores) blocks covering, in index order, every Alice map
-    whose first ``split`` digits are a row in ``rows`` (sorted).
+    whose first len(keeps) digits are a row in ``rows``, sorted, which the
+    ``keeps`` pick level by level (see ``partial_scores``).
 
     ``scores[i, j]`` ranks map ``ids[i] * n2 + j``, with n2 = scores.shape[1]
     the rows of the second part, in the units of ``kernel_weights(tensor)``;
@@ -69,8 +70,8 @@ def scan_scores(tensor: np.ndarray, rows: np.ndarray, split: int):
     """
     weights = kernel_weights(tensor)
     n_x, n_a, n_b, n_y = weights.shape
-    first = partial_scores(weights, rows, 0, split)
-    second = partial_scores(weights, np.arange(n_a ** (n_x - split)), split, n_x - split)
+    first = partial_scores(weights, keeps, 0)
+    second = partial_scores(weights, [slice(None)] * (n_x - len(keeps)), len(keeps))
     second = np.ascontiguousarray(second.transpose(1, 2, 0))
     n2 = second.shape[2]
     chunk = min(len(rows), max(1, _BLOCK_BYTES // (n_y * n2 * weights.itemsize)))
@@ -108,13 +109,13 @@ def best_reply(tensor: np.ndarray, f: tuple[int, ...]) -> tuple[tuple[int, ...],
     return g, value
 
 
-def argmax_strategy(tensor: np.ndarray, rows: np.ndarray, split: int
+def argmax_strategy(tensor: np.ndarray, rows: np.ndarray, keeps
                     ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """The best deterministic pair (value, f, g) among the Alice maps whose
-    first ``split`` digits form a row in ``rows``."""
+    first len(keeps) digits form a row in ``rows`` (see ``scan_scores``)."""
     best_score = -np.inf
     best_index = -1
-    for ids, scores in scan_scores(tensor, rows, split):
+    for ids, scores in scan_scores(tensor, rows, keeps):
         i, j = np.unravel_index(np.argmax(scores), scores.shape)
         if scores[i, j] > best_score:
             best_score = float(scores[i, j])
@@ -127,8 +128,8 @@ def argmax_strategy(tensor: np.ndarray, rows: np.ndarray, split: int
 def top_strategies(tensor: np.ndarray, count: int):
     """The ``count`` best pairs as (value, f, g), by score then map index."""
     top_scores = top_indices = np.zeros(0, dtype=np.int64)
-    split = tensor.shape[0] // 2
-    for ids, block in scan_scores(tensor, np.arange(tensor.shape[1] ** split), split):
+    keeps = [slice(None)] * (tensor.shape[0] // 2)
+    for ids, block in scan_scores(tensor, np.arange(tensor.shape[1] ** len(keeps)), keeps):
         # A later map enters only by beating the count-th best so far, and the
         # stable sort keeps tied maps in index order (kept ones come first).
         n2, block = block.shape[1], block.reshape(-1)

@@ -359,22 +359,27 @@ def test_product_orbits_fast_and_small():
     assert elapsed < 0.1 and peak < 50 * 10 ** 6
 
 
+def canonical_rows(game, levels):
+    """The rows of ``optimize._chain_rows`` over the first ``levels`` questions."""
+    from nsgames.optimize import _chain_rows
+
+    return next(itertools.islice(_chain_rows(game), levels - 1, None))[1]
+
+
 def brute_force_canonical_rows(game):
-    """Reference for ``_canonical_rows``: every element of the product group
+    """Reference for ``canonical_rows``: every element of the product group
     G^width, lifted to Alice's questions and answers, tested against every
     prefix f(0..levels-1) at every level k of the lex-leader rule, for as
-    many levels, up to nX, as keep at most 8^5 prefixes.  Base elements that
-    act alike on Alice are kept once, and the elements are taken in chunks of
-    at most 2^22 (element, prefix) pairs.  Returns (levels, rows)."""
+    many levels, up to nX, as keep at most 8^5 prefixes or fit 2^22 (element,
+    prefix) pairs.  Base elements that act alike on Alice are kept once, and
+    the elements are taken in chunks of at most 2^22 pairs.  Returns (levels,
+    rows)."""
     from nsgames.strategies import map_digits
 
     group, width = game.symmetry
     n_x, n_a = len(group[0][0]), group[0][2].shape[1]
     alice = np.unique([np.concatenate([px, sa.ravel()]) for px, _, sa, _ in group], axis=0)
     px, sa = alice[:, :n_x].astype(np.int16), alice[:, n_x:].reshape(-1, n_x, n_a).astype(np.int16)
-    levels = game.nX
-    while game.nA ** levels > 8 ** 5:
-        levels -= 1
     dx = map_digits(np.arange(game.nX), width, n_x)
     da = map_digits(np.arange(game.nA), width, n_a)
     choice = np.indices((len(px),) * width).reshape(width, -1)  # (width, elements)
@@ -382,6 +387,9 @@ def brute_force_canonical_rows(game):
                    for i, c in enumerate(choice))  # (elements, nX)
     lifted_a = sum(sa[c][:, dx[:, i, None], da[:, i]] * n_a ** (width - 1 - i)
                    for i, c in enumerate(choice))  # (elements, nX, nA)
+    levels = game.nX
+    while game.nA ** levels > max(8 ** 5, 2 ** 22 // len(lifted_x)):
+        levels -= 1
     prefixes = map_digits(np.arange(game.nA ** levels), levels, game.nA)
     kept = np.ones(len(prefixes), dtype=bool)
     chunk = max(1, 2 ** 22 // len(prefixes))
@@ -400,20 +408,20 @@ def brute_force_canonical_rows(game):
     pytest.param(iterate(embed(chsh()), 3), id="embed-chsh-3")])
 def test_chain_rows_match_product_group(stage):
     # within the kernel's reach, up to the split that the scan uses
-    from nsgames.optimize import _canonical_rows, _scan_rows
+    from nsgames.optimize import _scan_rows
 
     levels, rows = brute_force_canonical_rows(stage)
-    assert np.array_equal(_canonical_rows(stage, levels), rows)
-    assert stage.nA ** stage.nX > 8 ** 8 or levels >= _scan_rows(stage)[1]
+    assert np.array_equal(canonical_rows(stage, levels), rows)
+    assert stage.nA ** stage.nX > 8 ** 8 or levels >= len(_scan_rows(stage)[1])
 
 
 def test_chain_stops_refining_over_entry_budget(monkeypatch):
     from nsgames import optimize
 
     stage = iterate(memory_game(chsh()), 2)  # 3 x 8 x 2 mask and minima entries per prefix
-    full = optimize._canonical_rows(stage, 4)
+    full = canonical_rows(stage, 4)
     monkeypatch.setattr(optimize, "ENTRY_BUDGET", 48 * 2)  # stops at level 2, 4 prefixes
-    coarse = optimize._canonical_rows(stage, 4)
+    coarse = canonical_rows(stage, 4)
     assert full.size < coarse.size < 8 ** 4 and np.isin(full, coarse).all()
     assert np.array_equal(coarse, np.unique(coarse))
     assert local_value(stage) == local_value(FiniteGame(stage.win, stage.dist))
@@ -432,7 +440,8 @@ def test_scan_split_follows_the_chain(base, make, n, split, maps):
     from nsgames.optimize import _scan_rows
 
     stage = iterate(make(symmetric_bases()[base]), n)
-    rows, got = _scan_rows(stage)
+    rows, keeps = _scan_rows(stage)
+    got = len(keeps)
     assert (got, rows.size * stage.nA ** (stage.nX - got)) == (split, maps)
 
 
@@ -443,8 +452,8 @@ def test_trivial_group_splits_at_half():
     identity = (np.arange(5), np.arange(2), np.tile(np.arange(3), (5, 1)),
                 np.tile(np.arange(2), (2, 1)))
     object.__setattr__(game, "symmetry", ((identity,), 1))
-    rows, split = _scan_rows(game)
-    assert split == 2 and np.array_equal(rows, np.arange(9))
+    rows, keeps = _scan_rows(game)
+    assert len(keeps) == 2 and np.array_equal(rows, np.arange(9))
     assert local_value(game) == local_value(FiniteGame(game.win, game.dist))
 
 

@@ -19,9 +19,20 @@ def payoff_tensor(win, dist):
 
 
 def every_row(tensor):
-    """(rows, split) that scan every Alice map: all rows at the half split."""
+    """(rows, keeps) that scan every Alice map: all rows at the half split."""
     split = tensor.shape[0] // 2
-    return np.arange(tensor.shape[1] ** split), split
+    return np.arange(tensor.shape[1] ** split), [slice(None)] * split
+
+
+def prefix_tree(rows, split, n_a):
+    """The keeps that pick the sorted ``rows`` level by level: at level k,
+    the index among the children of level k - 1 of each distinct prefix."""
+    keeps, kept = [], np.zeros(1, dtype=np.int64)
+    for k in range(1, split + 1):
+        level = np.unique(rows // n_a ** (split - k))
+        keeps.append(np.searchsorted(kept, level // n_a) * n_a + level % n_a)
+        kept = level
+    return keeps
 
 
 def brute_force_ranking(tensor):
@@ -82,7 +93,8 @@ class TestAgainstBruteForce:
         ranking = brute_force_ranking(tensor)
         kept = [k for k, (_, f, _) in enumerate(ranking) if f[:split] in prefixes]
         best = min(kept, key=lambda k: (-ranking[k][0], k))
-        assert argmax_strategy(tensor, np.array(rows), split) == ranking[best]
+        rows = np.array(rows)
+        assert argmax_strategy(tensor, rows, prefix_tree(rows, split, shape[2])) == ranking[best]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=shapes)
