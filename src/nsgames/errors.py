@@ -26,8 +26,8 @@ NumericError for a computed result.  The see-saw's step thresholds, the
 Each engine counts, from shapes, the units of what it would build before it
 allocates or imports scipy; ``require_budget`` refuses more than a budget.  No
 one count bounds both time and memory: the 10x10x2x2 membership LP must run
-and the 5.1e7-entry full LP of chsh^6 must not.  Measured on 2 cores (R: a
-random 2x2x2x2 base without relabelings):
+and the ns LP of all_win(1,2,1,1)^23 (4.2e7 units) must not.  Measured on 2
+cores (R: a random 2x2x2x2 base without relabelings):
 
 ================  ===================================================================
 budget            units counted by each engine (a measured instance)
@@ -41,11 +41,11 @@ budget            units counted by each engine (a measured instance)
 ``WORK_BUDGET``   ``qs_seesaw``: one sweep, seeds d^4 (d^2 + nX nY nA nB) (chsh, 20 seeds:
                   d = 12: 6.6e7, 0.21 s per sweep; d = 16: 3.6e8, 0.76 s per sweep)
 ``ENTRY_BUDGET``  ``iterate``, ``product_game``, ``load_game`` (from the header): predicate
-(2.5e7, memory)   entries; ``ns_value``: entries of the full LP that certifies the value,
-                  3 nX nY nA nB + nX nY (nA + nB), about 55 B each with the solve (chsh^5:
-                  3.2e6 in 0.33 s, 169 MB; all_win(2,2,3,3)^4: 5.1e6 in 0.39 s, 268 MB).
-                  The orbit search within it costs |G| (base LP points) + width (LP
-                  points), for base group G (all_win(2,2,3,3)^4: 0.07 s, 40 MB)
+(2.5e7, memory)   entries; ``ns_value``: the full LP's columns and rows, nX nY (nA nB + 1 + nA
+                  + nB) + nX nA + nY nB, each an int32 orbit label and most a lifted p entry,
+                  about 20 B each (chsh^6, memory(chsh)^5: 1.73e7 in 1.3 s, 354 MB); within
+                  it the orbit search costs |G| (base LP points) + width (LP points) for base
+                  group G (all_win(2,2,3,3)^4: 1.7e6 units in 0.11 s, 35 MB; search 0.07 s)
 ``ENTRY_BUDGET``  ``qs_seesaw``: strategy and state stacks, seeds d^2 (nX nA + nY nB + d^2)
 ``ENTRY_BUDGET``  dilations: the dilated PVM's orthogonality check, k^2 K^2 entries for k
                   outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB); a povm block's

@@ -2,15 +2,13 @@
 
 Three engines live here:
 
-* ``ns_value`` -- exact supremum over the no-signalling polytope, as a linear
-  program over the correlation entries and marginal variables, as one sparse
-  matrix.  HiGHS solves it through ``simplex.simplex_solve`` over the orbits
-  of the game's symmetry (see ``games``): an iterate's orbits are products of
-  its base game's orbits, labelled coordinate by coordinate from the base
-  group's orbits on the base game's LP.  The answer is lifted back and
-  certified on the full LP from both sides, by the primal correlation and by
-  a dual bound.  The full LP's entries and the orbit LP's dense size each fit
-  a budget in ``errors``, checked before either is built.
+* ``ns_value`` -- exact supremum over the no-signalling polytope: HiGHS
+  solves, through ``simplex.simplex_solve``, the LP over the correlation
+  entries and marginals reduced by the game's symmetry (see ``games``), whose
+  orbits on an iterate are products of its base game's orbits.  Only the
+  orbit LP's rows are built.  The answer is lifted back and certified on the
+  full LP by the primal correlation and by a dual bound, broadcast over the
+  LP's structure with no matrix.  Budgets in ``errors`` bound the LP's size.
 * ``local_value`` -- exact maximum over deterministic strategy pairs.  Alice's
   maps, within ``errors.WORK_BUDGET``, are enumerated by the kernel in
   ``strategies``: a meet-in-the-middle split of her input set, scored in exact
@@ -57,53 +55,41 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 
-def ns_value_lp(game: "FiniteGame") -> LinearProgram:
-    """The LP whose optimum is the no-signalling value of the game.
+def ns_value_lp(game: "FiniteGame", orbits: list | None = None) -> LinearProgram:
+    """The LP that ``ns_value`` solves: the no-signalling LP over the orbits of
+    the game's relabelings (``orbits``, from ``_lp_orbits`` if not given).
 
-    Variables are the entries p(a,b|x,y) flattened row-major over (x,y,a,b),
-    then Alice's marginals alpha[x,a] and Bob's beta[y,b], all >= 0.  Rows are
-    per-(x,y) normalization, then sum_b p(a,b|x,y) - alpha[x,a] = 0 over
-    (x,a,y) and sum_a p(a,b|x,y) - beta[y,b] = 0 over (y,b,x), all row-major,
-    in one sparse CSR matrix that a relabeling of the game permutes by rows
-    and by columns.  The size budgets are checked by ``ns_value``, not here.
+    The full LP's variables are the entries p(a,b|x,y) flattened row-major over
+    (x,y,a,b), then Alice's marginals alpha[x,a] and Bob's beta[y,b], all >= 0.
+    Its rows are per-(x,y) normalization, then sum_b p(a,b|x,y) - alpha[x,a] = 0
+    over (x,a,y) and sum_a p(a,b|x,y) - beta[y,b] = 0 over (y,b,x), all
+    row-major; a relabeling permutes both.  The orbit LP, the full LP for a game
+    without relabelings, sums each column orbit into one column and keeps each
+    row orbit's least row: only those rows are built, a family at a time.
     """
-    from scipy.sparse import coo_array
+    from scipy.sparse import csr_array
 
+    (col_reps, col_orbit, _), (row_reps, _, _) = orbits or _lp_orbits(game)
     nX, nY, nA, nB = game.shape
-    n_p = nX * nY * nA * nB
-    n_rows, n_cols, _ = _lp_size(game.shape)
-    x, y, a, b = np.indices(game.shape, dtype=np.int32).reshape(4, -1)  # ENTRY_BUDGET < 2^31
-    (p, alpha, beta), (norm, alice, bob) = _lp_index(game.shape, x, y, a, b)
-    first_b, first_a = b == 0, a == 0  # one marginal entry per Alice (Bob) row
-    rows = np.concatenate([norm, alice, bob, alice[first_b], bob[first_a]])
-    cols = np.concatenate([p, p, p, alpha[first_b], beta[first_a]])
-    vals = np.concatenate([np.ones(3 * n_p), np.full(nX * nA * nY + nY * nB * nX, -1.0)])
-    a_eq = coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-    b_eq = np.zeros(n_rows)
-    b_eq[: nX * nY] = 1.0
-    objective = np.concatenate([(game.dist[:, :, None, None] * game.win).reshape(-1),
-                                np.zeros(nX * nA + nY * nB)])
-    return LinearProgram(objective, a_eq=a_eq, b_eq=b_eq)
-
-
-def _lp_size(shape) -> tuple[int, int, int]:
-    """The rows, the columns and the matrix entries of ``ns_value_lp`` for a
-    game of this shape."""
-    nX, nY, nA, nB = shape
-    return (nX * nY * (1 + nA + nB), nX * nY * nA * nB + nX * nA + nY * nB,
-            nX * nY * (3 * nA * nB + nA + nB))
-
-
-def _lp_index(shape, x, y, a, b) -> tuple[tuple, tuple]:
-    """For entries p(a,b|x,y) of a game of this shape: the columns of p, of
-    alpha[x,a] and of beta[y,b], and the rows of normalization (x,y), Alice's
-    marginal (x,a,y) and Bob's marginal (y,b,x) in ``ns_value_lp``."""
-    nX, nY, nA, nB = shape
-    n_p, n_pairs = nX * nY * nA * nB, nX * nY
-    cols = (((x * nY + y) * nA + a) * nB + b, n_p + x * nA + a, n_p + nX * nA + y * nB + b)
-    rows = (x * nY + y, n_pairs + (x * nA + a) * nY + y,
-            n_pairs + nX * nA * nY + (y * nB + b) * nX + x)
-    return cols, rows
+    n_p, n_pairs, first_bob = game.win.size, nX * nY, nX * nY * (1 + nA)
+    norm, alice, bob = np.split(row_reps, np.searchsorted(row_reps, [n_pairs, first_bob]))
+    x, a, y = np.unravel_index(alice - n_pairs, (nX, nA, nY))
+    y_b, b, x_b = np.unravel_index(bob - first_bob, (nY, nB, nX))
+    # each kept row's columns: p(.,.|x,y); p(a,.|x,y), alpha[x,a]; p(.,b|x,y), beta[y,b]
+    blocks = [norm[:, None] * (nA * nB) + np.arange(nA * nB),
+              np.column_stack([((x * nY + y) * nA + a)[:, None] * nB + np.arange(nB),
+                               n_p + x * nA + a]),
+              np.column_stack([((x_b * nY + y_b)[:, None] * nA + np.arange(nA)) * nB + b[:, None],
+                               n_p + nX * nA + y_b * nB + b])]
+    widths, counts = zip((0, 1), *((block.shape[1], len(block)) for block in blocks))
+    indptr = np.repeat(widths, counts).cumsum(dtype=np.int32)  # ENTRY_BUDGET < 2^31
+    cols = np.concatenate([block.ravel() for block in blocks])
+    a_eq = csr_array((np.where(cols < n_p, 1.0, -1.0), col_orbit[cols], indptr),
+                     shape=(row_reps.size, col_reps.size))
+    a_eq.sum_duplicates()
+    weights = (game.dist[:, :, None, None] * game.win).ravel()
+    objective = np.bincount(col_orbit[:n_p], weights=weights, minlength=col_reps.size)
+    return LinearProgram(objective, a_eq=a_eq, b_eq=(row_reps < n_pairs).astype(float))
 
 
 def _orbit_labels(images: np.ndarray) -> np.ndarray:
@@ -117,11 +103,10 @@ def _orbit_labels(images: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _lp_orbits(game: "FiniteGame") -> list[np.ndarray]:
-    """Orbit labels of the columns and of the rows of ``ns_value_lp(game)``,
-    for a game that carries a symmetry (group, width).  Each family of LP
-    points, in ``_lp_index`` order, holds the width-tuples of its base points,
-    on which the group acts coordinate by coordinate."""
+def _lp_labels(game: "FiniteGame") -> list[np.ndarray]:
+    """Orbit labels (int32 least members) of the full LP's columns and rows, for
+    a game with a symmetry (group, width).  Each family of LP points holds the
+    width-tuples of its base points, on which the group acts coordinatewise."""
     group, width = game.symmetry
     px, py, sa, sb = (np.array(part) for part in zip(*group))
     sizes = dict(x=px.shape[1], y=py.shape[1], a=sa.shape[2], b=sb.shape[2])
@@ -143,7 +128,7 @@ def _product_minima(minima: np.ndarray, shape, width: int) -> np.ndarray:
     """Orbit minima of the width-tuples of points of ``shape`` from those of
     the points, row-major: a product of orbits has the tuple of their minima
     as its minimum, since row-major order compares coordinate by coordinate."""
-    labels = np.zeros(math.prod(n ** width for n in shape), dtype=int)
+    labels = np.zeros(math.prod(n ** width for n in shape), dtype=np.int32)  # ENTRY_BUDGET < 2^31
     digits = np.unravel_index(minima, shape)
     for i in range(width):  # every point's minimum, moved to coordinate i
         moved = np.ravel_multi_index([d * n ** (width - 1 - i) for d, n in zip(digits, shape)],
@@ -153,52 +138,65 @@ def _product_minima(minima: np.ndarray, shape, width: int) -> np.ndarray:
     return labels
 
 
+def _lp_orbits(game: "FiniteGame") -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(representatives, inverse, sizes) of the orbits of the full LP's columns
+    and of its rows: each orbit's least point in order, each point's orbit, and
+    each orbit's size.  From the shape, the LP's columns and rows must fit
+    ``ENTRY_BUDGET``; the orbit LP's dense size must fit ``WORK_BUDGET``, from
+    the shape too for a game without relabelings (one-point orbits, no search)."""
+    nX, nY, nA, nB = game.shape
+    n_rows, n_cols = nX * nY * (1 + nA + nB), game.win.size + nX * nA + nY * nB
+    require_budget(n_rows + n_cols, ENTRY_BUDGET, "no-signalling LP (columns and rows)")
+    what = "no-signalling orbit LP (dense rows x columns)"
+    if not game.symmetry:
+        require_budget(n_rows * n_cols, WORK_BUDGET, what)
+    orbits = []
+    for labels in _lp_labels(game) if game.symmetry else (np.arange(n_cols), np.arange(n_rows)):
+        points = np.arange(labels.size, dtype=np.int32)
+        reps = np.flatnonzero(labels == points)
+        points[reps] = np.arange(reps.size)  # a lookup table from least points to orbits
+        inverse = points[labels]
+        orbits.append((reps, inverse, np.bincount(inverse)))
+    require_budget(orbits[0][0].size * orbits[1][0].size, WORK_BUDGET, what)
+    return orbits
+
+
+def _dual_slack(game: "FiniteGame", dual: np.ndarray) -> tuple[tuple, float]:
+    """c - A^T y at p, alpha and beta, and b.y, for a dual y = (y_norm[x,y],
+    y_A[x,a,y], y_B[y,b,x]) of the full LP, by broadcasting: pi win - y_norm -
+    y_A - y_B, sum_y y_A, sum_x y_B and sum y_norm."""
+    nX, nY, nA, nB = game.shape
+    y_norm = dual[:nX * nY].reshape(nX, nY, 1, 1)
+    y_alice = dual[nX * nY:nX * nY * (1 + nA)].reshape(nX, nA, nY)
+    y_bob = dual[nX * nY * (1 + nA):].reshape(nY, nB, nX)
+    slack = game.dist[:, :, None, None] * game.win
+    slack -= y_norm
+    slack -= y_alice.transpose(0, 2, 1)[..., None]
+    slack -= y_bob.transpose(2, 0, 1)[:, :, None]
+    return (slack, y_alice.sum(axis=2), y_bob.sum(axis=2)), float(y_norm.sum())
+
+
 def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
     """Exact no-signalling value with an attaining correlation.
 
-    HiGHS solves the LP over the orbits of the game's relabelings: the
-    columns of each orbit summed into one, one row kept per row orbit (a game
-    that carries none is solved as the full LP, every orbit one point).  The
-    answer is lifted back, p_v = z_(orbit of v) and y_r = y_R / |R|, exactly,
-    since c, A and b are invariant, and checked on the full LP.  The primal
-    must be a no-signalling ``Correlation``; the value is its payoff with
-    each (x,y) slice and the question distribution divided by their sums,
-    clamped to [0, 1], so that a game the primal wins surely reads exactly
-    1.0 even when the float question weights sum to 1 - 1e-16.  The dual y
-    must be feasible, c - A^T y <= tol, and its bound b.y must equal the
-    value within tol, with tol = ``errors.INVARIANT_TOL``.  A feasible dual
-    bounds every primal from above, so together the checks certify that the
-    value is optimal; any failure raises ``NumericError``.  Relabelings that
-    are wrong for the game leave A and b invariant, so the lifted b.y still
-    equals the primal's value: the dual check then fails unless that value
-    is optimal.
+    HiGHS solves ``ns_value_lp``.  The answer is lifted back, p_v = z_(orbit
+    of v) and y_r = y_R / |R|, exactly, since c, A and b are invariant, and
+    checked on the full LP.  The primal must be a no-signalling
+    ``Correlation``; the value is its payoff with each (x,y) slice and the
+    question distribution divided by their sums, clamped to [0, 1], so that a
+    game the primal wins surely reads exactly 1.0 even when the float question
+    weights sum to 1 - 1e-16.  The dual must be feasible, c - A^T y <= tol, and
+    its bound b.y must equal the value within tol = ``errors.INVARIANT_TOL``,
+    both from ``_dual_slack``.  A feasible dual bounds every primal from
+    above, so the checks certify that the value is optimal; any failure
+    raises ``NumericError``.  Relabelings that are wrong for the game leave A
+    and b invariant, so the lifted b.y still equals the primal's value: the
+    dual check then fails unless that value is optimal.
     """
-    n_rows, n_cols, n_entries = _lp_size(game.shape)
-    require_budget(n_entries, ENTRY_BUDGET, "no-signalling LP (entries)")
-    what = "no-signalling orbit LP (dense rows x columns)"
-    if not game.symmetry:  # every orbit is one point: the orbit LP is the full LP
-        require_budget(n_rows * n_cols, WORK_BUDGET, what)
-        lp = reduced = ns_value_lp(game)
-        col_orbit, row_orbit, row_sizes = np.arange(n_cols), np.arange(n_rows), np.ones(n_rows)
-    else:  # the orbit search comes first, and the LP after its orbits fit
-        col_labels, row_labels = _lp_orbits(game)
-        col_reps, col_orbit = np.unique(col_labels, return_inverse=True)
-        row_reps, row_orbit, row_sizes = np.unique(row_labels, return_inverse=True,
-                                                   return_counts=True)
-        require_budget(row_reps.size * col_reps.size, WORK_BUDGET, what)
-        from scipy.sparse import csr_array
-
-        lp = ns_value_lp(game)
-        kept = lp.a_eq[row_reps]  # the representative rows, in orbit order
-        a_eq = csr_array((kept.data, col_orbit[kept.indices], kept.indptr),
-                         shape=(row_reps.size, col_reps.size))
-        a_eq.sum_duplicates()
-        reduced = LinearProgram(np.bincount(col_orbit, weights=lp.objective),
-                                a_eq=a_eq, b_eq=lp.b_eq[row_reps])
-    result = simplex_solve(reduced)
+    (_, col_orbit, _), (_, row_orbit, row_sizes) = orbits = _lp_orbits(game)
+    result = simplex_solve(ns_value_lp(game, orbits))
     if result.status != "optimal":  # pragma: no cover - polytope is nonempty
         raise NumericError(f"no-signalling LP ended with status {result.status}")
-    dual = result.dual[row_orbit] / row_sizes[row_orbit]
     try:
         corr = Correlation(result.x[col_orbit[:game.win.size]].reshape(game.shape))
     except ValidationError as exc:
@@ -208,10 +206,11 @@ def ns_value(game: "FiniteGame") -> tuple[float, Correlation]:
         raise NumericError("no-signalling primal signals", residual=cert.worst)
     won = (game.win * corr.p).sum(axis=(2, 3)) / corr.p.sum(axis=(2, 3))
     value = min(max(float(np.sum(game.dist * won) / np.sum(game.dist)), 0.0), 1.0)
-    excess = float(np.max(lp.objective - lp.a_eq.T @ dual))
+    slack, bound = _dual_slack(game, result.dual[row_orbit] / row_sizes[row_orbit])
+    excess = max(float(part.max()) for part in slack)
     if excess > INVARIANT_TOL:
         raise NumericError("no-signalling dual is infeasible", residual=excess)
-    gap = abs(float(lp.b_eq @ dual) - value)
+    gap = abs(bound - value)
     if gap > INVARIANT_TOL:
         raise NumericError("no-signalling dual bound differs from the value", residual=gap)
     return value, corr

@@ -193,10 +193,13 @@ class TestSequenceCommand:
         out = capsys.readouterr().out
         assert "truncated 1" in out
 
-    def test_ns_lp_cap_truncates(self, chsh_file, capsys):
-        # n = 6: the full LP that certifies the answer would have 5.1e7 entries,
-        # over ENTRY_BUDGET, though its orbit LP is small
-        assert main(["sequence", chsh_file, "--mode", "iid", "--type", "ns",
+    def test_ns_lp_cap_truncates(self, tmp_path, capsys):
+        # n = 6: the LP's 6.7e7 columns and rows are over ENTRY_BUDGET, though
+        # the predicate's 1.7e7 entries fit and the orbit LP is small (chsh^6,
+        # with 1.7e7 columns and rows, is certified)
+        path = tmp_path / "unary.game"
+        path.write_text(dump_game(all_win(4, 4, 1, 1)))
+        assert main(["sequence", str(path), "--mode", "iid", "--type", "ns",
                      "--n-max", "6", "--format", "machine", "--threads", "1"]) == 0
         expected = "".join(f"entry {n} 1.0 1.0\n" for n in range(1, 6)) + "truncated 1\n"
         assert capsys.readouterr().out == expected

@@ -69,18 +69,33 @@ def entrywise_lp_matrix(game):
     return dense
 
 
-def stacked_lp_orbits(game):
-    """Reference orbit labels of the columns and the rows of ``ns_value_lp(game)``:
-    every lifted relabeling applied to every LP point, and the labels
-    propagated over the stacked images until they settle."""
-    from nsgames.optimize import _lp_index, _orbit_labels
+def lp_index(shape, x, y, a, b):
+    """For entries p(a,b|x,y) of a game of this shape: the full LP's columns of
+    p, of alpha[x,a] and of beta[y,b], and its rows of normalization (x,y),
+    Alice's marginal (x,a,y) and Bob's marginal (y,b,x)."""
+    nX, nY, nA, nB = shape
+    n_p, n_pairs = nX * nY * nA * nB, nX * nY
+    cols = (((x * nY + y) * nA + a) * nB + b, n_p + x * nA + a, n_p + nX * nA + y * nB + b)
+    rows = (x * nY + y, n_pairs + (x * nA + a) * nY + y,
+            n_pairs + nX * nA * nY + (y * nB + b) * nX + x)
+    return cols, rows
 
+
+def stacked_lp_orbits(game):
+    """Reference orbit labels of the full LP's columns and rows: every lifted
+    relabeling applied to every LP point, and the labels propagated over the
+    stacked images until they settle; every point its own label for a game
+    without relabelings."""
+    from nsgames.optimize import _orbit_labels
+
+    if not game.symmetry:
+        return [np.arange(n) for n in entrywise_lp_matrix(game).shape[::-1]]
     nX, nY, nA, nB = game.shape
     px, py, sa, sb = (np.array(part, dtype=int).reshape((-1, *shape)) for part, shape
                       in zip(zip(*lifted_relabelings(game)), ((nX,), (nY,), (nX, nA), (nY, nB))))
     x, y, a, b = np.indices(game.shape).reshape(4, -1)
-    before = _lp_index(game.shape, x, y, a, b)
-    after = _lp_index(game.shape, px[:, x], py[:, y], sa[:, x, a], sb[:, y, b])
+    before = lp_index(game.shape, x, y, a, b)
+    after = lp_index(game.shape, px[:, x], py[:, y], sa[:, x, a], sb[:, y, b])
     labels = []
     for points, moved in zip(before, after):  # columns, then rows
         images = np.empty((len(px), points[-1].max() + 1), dtype=int)
@@ -88,6 +103,18 @@ def stacked_lp_orbits(game):
             images[:, point] = image
         labels.append(_orbit_labels(images))
     return labels
+
+
+def reduced_entrywise_lp(game):
+    """Reference orbit LP (c, A, b): the dense ``entrywise_lp_matrix`` with the
+    columns of each ``stacked_lp_orbits`` orbit summed and one row kept per row
+    orbit, its least."""
+    (col_reps, col_orbit), (row_reps, _) = (np.unique(labels, return_inverse=True)
+                                            for labels in stacked_lp_orbits(game))
+    merge = col_orbit[:, None] == np.arange(col_reps.size)
+    c = np.concatenate([(game.dist[:, :, None, None] * game.win).ravel(),
+                        np.zeros(merge.shape[0] - game.win.size)])
+    return c @ merge, entrywise_lp_matrix(game)[row_reps] @ merge, (row_reps < game.nX * game.nY)
 
 
 def brute_force_local(game):
@@ -144,10 +171,12 @@ class TestNsValue:
     def test_lp_size_cap(self):
         from nsgames.optimize import ns_value_lp
 
-        # memory(chsh)^3: the full LP is 8,448 x 66,048, its orbit LP 3 x 18
-        value, corr = ns_value(iterate(memory_game(chsh()), 3))
+        # memory(chsh)^3: the full LP is 8,448 x 66,048, the solved orbit LP 3 x 18
+        stage = iterate(memory_game(chsh()), 3)
+        value, corr = ns_value(stage)
         assert value == 1.0 and corr.shape == (16, 16, 16, 16)
-        assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (1088, 4224)
+        assert ns_value_lp(stage).a_eq.shape == (3, 18)
+        assert ns_value_lp(iterate(memory_game(chsh()), 2)).a_eq.shape == (3, 10)  # of 1088 x 4224
 
     @pytest.mark.parametrize("make, n", [(embed, 1), (memory_game, 1), (embed, 2)])
     def test_lp_matrix_matches_entrywise_reference(self, make, n):
@@ -155,15 +184,39 @@ class TestNsValue:
 
         from nsgames.optimize import ns_value_lp
 
+        # the solved orbit LP, and the full LP of the same game without relabelings
         for base in symmetric_bases() + [random_game((2, 3, 3, 2), rand.generator(4))]:
-            game = iterate(make(base), n)
-            if game.win.size <= 4096:
-                a_eq = ns_value_lp(game).a_eq
-                assert a_eq.has_canonical_format and a_eq.indices.dtype == np.int32
-                assert np.array_equal(a_eq.toarray(), entrywise_lp_matrix(game))
+            stage = iterate(make(base), n)
+            for game in (stage, FiniteGame(stage.win, stage.dist)):
+                if game.win.size <= 4096:
+                    lp = ns_value_lp(game)
+                    objective, a_eq, b_eq = reduced_entrywise_lp(game)
+                    assert lp.a_eq.has_canonical_format and lp.a_eq.indices.dtype == np.int32
+                    assert np.array_equal(lp.a_eq.toarray(), a_eq)
+                    assert np.array_equal(lp.b_eq, b_eq)
+                    assert np.allclose(lp.objective, objective, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("game", [
+        pytest.param(chsh(), id="chsh"),
+        pytest.param(random_game((2, 3, 3, 2), rand.generator(4)), id="random-2x3x3x2"),
+        pytest.param(iterate(memory_game(chsh()), 1), id="memory-chsh-1"),
+        pytest.param(iterate(embed(all_win(2, 2, 3, 3)), 1), id="embed-all-win-2233-1")])
+    def test_dual_slack_matches_entrywise_reference(self, game):
+        from nsgames.optimize import _dual_slack
+
+        dense = entrywise_lp_matrix(game)
+        objective = np.concatenate([(game.dist[:, :, None, None] * game.win).ravel(),
+                                    np.zeros(dense.shape[1] - game.win.size)])
+        b_eq = np.arange(dense.shape[0]) < game.nX * game.nY
+        for y in np.random.default_rng(7).normal(size=(3, dense.shape[0])):
+            slack, bound = _dual_slack(game, y)
+            assert np.allclose(np.concatenate([part.ravel() for part in slack]),
+                               objective - dense.T @ y, rtol=0, atol=1e-12)
+            assert bound == pytest.approx(b_eq @ y, rel=0, abs=1e-12)
 
     def test_full_lp_memory(self):
-        # chsh^5: 3.2e6 full-LP entries, under 55 B each with the orbit LP and the solve
+        # chsh^5: the full LP (1.1e6 columns and rows) is never built; the
+        # orbit labels, the lifted answer and the broadcast check peak at 22 MB
         stage = iterate(embed(chsh()), 5)
         tracemalloc.start()
         try:
@@ -171,14 +224,43 @@ class TestNsValue:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert value == 1.0 and peak < 175 * 10 ** 6
+        assert value == 1.0 and peak < 30 * 10 ** 6
 
-    @pytest.mark.parametrize("case", ["memory(R0)^3", "memory(R0)^4", "chsh^6"])
+    def test_memory_chsh_4_fast_and_small(self):
+        import scipy.optimize  # noqa: F401 - time the solve, not the import
+
+        stage = iterate(memory_game(chsh()), 4)  # 0.07 s at a 22 MB peak
+        start = time.perf_counter()  # timed untraced: tracing doubles the call
+        value, _ = ns_value(stage)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            ns_value(stage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0
+        assert elapsed < 0.3 and peak < 60 * 10 ** 6
+
+    @pytest.mark.parametrize("make, n", [(embed, 6), (memory_game, 5)])
+    def test_largest_chsh_iterates_certified(self, make, n):
+        import scipy.optimize  # noqa: F401 - time the solve, not the import
+
+        # 64 x 64 x 64 x 64: 1.73e7 LP columns and rows, within ENTRY_BUDGET;
+        # 1.3 s at a 354 MB peak
+        stage = iterate(make(chsh()), n)
+        start = time.perf_counter()
+        value, corr = ns_value(stage)
+        assert time.perf_counter() - start < 4.0
+        assert value == 1.0 and payoff(stage, corr) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["memory(R0)^3", "memory(R0)^4", "all_win(1,2,1,1)^23"])
     def test_over_budget_refused_fast(self, case):
         import scipy.optimize  # noqa: F401 - time the refusal, not the import
 
-        if case == "chsh^6":  # the full LP it would build for the certificate has 5.1e7 entries
-            stage = iterate(embed(chsh()), 6)
+        if case.startswith("all_win"):  # 4.2e7 LP columns and rows, over ENTRY_BUDGET,
+            # for a predicate of 8.4e6 entries, the smallest stock iterate over
+            stage = iterate(embed(all_win(1, 2, 1, 1)), 23)
             assert stage.symmetry
         else:  # R0 has only the identity: its orbit LP is the full LP (8,448 x 66,048 at n = 3)
             r0 = FiniteGame(np.random.default_rng(5).random((2, 2, 2, 2)) < 0.5,
@@ -237,6 +319,26 @@ class TestNsValue:
         with pytest.raises(NumericError, match="no-signalling (dual|primal)"):
             ns_value(chsh())
 
+    @pytest.mark.parametrize("corrupt, message", [("zero", "infeasible"), ("raised", "bound")])
+    def test_failed_orbit_certificate_raises(self, monkeypatch, corrupt, message):
+        # the orbit LP's dual, lifted and checked on the full LP
+        from nsgames import NumericError, optimize
+
+        solve = optimize.simplex_solve
+
+        def corrupted(lp):
+            result = solve(lp)
+            # zero: c - A^T y = c > 0; raised: each normalization orbit's dual
+            # up by 1, still feasible, and the bound b.y up by their number
+            dual = 0 * result.dual if corrupt == "zero" else result.dual + lp.b_eq
+            return dataclasses.replace(result, dual=dual)
+
+        stage = iterate(memory_game(chsh()), 1)
+        assert stage.symmetry
+        monkeypatch.setattr(optimize, "simplex_solve", corrupted)
+        with pytest.raises(NumericError, match=f"no-signalling dual.*{message}"):
+            ns_value(stage)
+
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
@@ -258,12 +360,18 @@ class TestNsValue:
     def test_marginal_lp_layout(self):
         from nsgames.optimize import ns_value_lp
 
-        lp = ns_value_lp(FiniteGame(np.ones((2, 3, 2, 2), dtype=bool), np.full((2, 3), 1 / 6)))
+        game = FiniteGame(np.ones((2, 3, 2, 2), dtype=bool), np.full((2, 3), 1 / 6))
+        lp = ns_value_lp(game)  # without relabelings: the full LP
         # 6 normalizations, 12 Alice and 12 Bob marginal rows; 24 entries, 4 + 6 marginals
         assert lp.a_eq.shape == (30, 34)
         dense = lp.a_eq.toarray()
         assert np.array_equal(dense[:, 24:].sum(axis=0), [-3.0] * 4 + [-2.0] * 6)
         assert np.array_equal(dense[:6].sum(axis=1), np.full(6, 4.0))
+        # with them, one orbit per family: p, alpha, beta; (x,y), (x,a,y), (y,b,x)
+        lp = ns_value_lp(iterate(embed(game), 1))
+        assert np.array_equal(lp.a_eq.toarray(), [[4.0, 0.0, 0.0], [2.0, -1.0, 0.0], [2.0, 0.0, -1.0]])
+        assert np.array_equal(lp.b_eq, [1.0, 0.0, 0.0])
+        assert lp.objective.tolist() == pytest.approx([4.0, 0.0, 0.0], abs=1e-12)  # 24 x 1/6
 
     @pytest.mark.parametrize("shape, seed", [((2, 2, 2, 2), 1), ((3, 2, 3, 2), 2), ((2, 3, 2, 4), 3)])
     def test_no_relabelings_skips_orbit_bookkeeping(self, monkeypatch, shape, seed):
@@ -279,10 +387,10 @@ class TestNsValue:
         object.__setattr__(carrying, "symmetry", ((identity,), 1))
         expected, expected_corr = ns_value(carrying)
 
-        def refuse(game):
-            raise AssertionError("orbit bookkeeping for a game without relabelings")
+        def refuse(images):
+            raise AssertionError("orbit search for a game without relabelings")
 
-        monkeypatch.setattr(optimize, "_lp_orbits", refuse)
+        monkeypatch.setattr(optimize, "_orbit_labels", refuse)
         assert not game.symmetry
         value, corr = ns_value(game)
         assert value == expected
@@ -339,7 +447,9 @@ def test_product_orbits_match_stacked_search(stage):
 
     assert stage.symmetry
     for product, stacked in zip(_lp_orbits(stage), stacked_lp_orbits(stage)):
-        assert np.array_equal(product, stacked)
+        reference = np.unique(stacked, return_inverse=True, return_counts=True)
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(product, reference))
+        assert product[1].dtype == np.int32
 
 
 def test_product_orbits_fast_and_small():
