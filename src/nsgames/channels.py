@@ -222,9 +222,6 @@ def commutes_with(povm: Povm, operator: np.ndarray) -> tuple[bool, float]:
     of the associated unital CP map.
     """
     operator = require_hermitian(operator, tol=SYMMETRIZE_TOL)
-    if operator.shape[0] != povm.dim:
-        raise ValidationError("equal dimensions",
-                              detail=f"{operator.shape[0]} != {povm.dim}")
     worst = float(commutator_norm(povm.effects, operator).max())
     return worst <= INVARIANT_TOL, worst
 
@@ -249,8 +246,6 @@ def channels_commute(e: FiniteChannel, f: FiniteChannel) -> CommutationReport:
     The witness is the first worst pair in the order x, y, a, b, and None
     when every pair commutes exactly.
     """
-    if e.dim != f.dim:
-        raise ValidationError("equal dimensions", detail=f"{e.dim} != {f.dim}")
     norms = commutator_norm(e.effects_array(), f.effects_array()).transpose(0, 2, 1, 3)
     worst = float(norms.max())
     witness = None

@@ -22,7 +22,7 @@ from . import dilation as dilation_mod
 from . import games as games_mod
 from .channels import dump_povm, load_channel, load_povm
 from .correlations import is_local, is_no_signalling, load_correlation
-from .errors import ParseError, PreconditionError, TooLargeError
+from .errors import SYMMETRIZE_TOL, ParseError, PreconditionError, TooLargeError
 from .linalg import projection_defects
 
 EXIT_OK = 0
@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="test a correlation dump")
     p_chk.add_argument("corr", help="correlation dump file")
     p_chk.add_argument("--test", choices=("ns", "local"), required=True)
-    p_chk.add_argument("--tol", type=_tolerance, default=1e-8,
-                       help="verdict tolerance")
+    p_chk.add_argument("--tol", type=_tolerance, default=SYMMETRIZE_TOL,
+                       help="verdict tolerance (default: errors.SYMMETRIZE_TOL, %(default)g)")
     p_chk.set_defaults(func=cmd_check)
     return parser
 

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import textfile
 from .channels import FiniteChannel, channels_commute
-from .errors import (FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, WORK_BUDGET, NumericError,
-                     ParseError, PreconditionError, ValidationError, require_budget)
+from .errors import (FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, SYMMETRIZE_TOL, WORK_BUDGET,
+                     NumericError, ParseError, PreconditionError, ValidationError,
+                     require_budget)
 from .simplex import LinearProgram, simplex_solve
 from .strategies import map_digits
 
@@ -50,9 +51,9 @@ class Alphabets:
 class Correlation(Alphabets):
     """Conditional probability tensor p(a,b|x,y) with shape (nX, nY, nA, nB).
 
-    Entries below -1e-12 are rejected; round-off negatives above that are
-    clipped to zero and each (x,y) slice renormalized.  Every slice must sum
-    to one within 1e-9.
+    Entries below -``ROUNDING_TOL`` are rejected; round-off negatives above
+    that are clipped to zero and each (x,y) slice renormalized.  Every slice
+    must sum to one within ``INVARIANT_TOL``.
     """
 
     p: np.ndarray
@@ -158,7 +159,8 @@ def _check_stochastic(table: np.ndarray, name: str, tol: float = INVARIANT_TOL) 
 def from_local(weights, alice_channels, bob_channels) -> Correlation:
     """Convex mixture of product channels: p = sum_i w_i q_i(a|x) r_i(b|y).
 
-    The result is no-signalling essentially exactly (checked at 1e-12).
+    The weights must sum to one within ``ROUNDING_TOL``, and the result is
+    no-signalling within it too.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
@@ -187,8 +189,8 @@ def qs_probabilities(alice_effects: np.ndarray, bob_effects: np.ndarray,
 
     ``alice_effects``/``bob_effects`` are (..., inputs, outcomes, d, d) stacks
     and ``psi`` is (..., d_a * d_b); leading axes index independent strategies
-    and lead the result.  The imaginary residue must stay below 1e-10 or
-    Hermiticity broke upstream.
+    and lead the result.  The imaginary residue must stay below ``FACTOR_TOL``
+    or Hermiticity broke upstream.
     """
     d_a = alice_effects.shape[-1]
     d_b = bob_effects.shape[-1]
@@ -330,7 +332,7 @@ def _staircase(fs: np.ndarray, q: np.ndarray):
             yield fs[k], g, totals[k] * width
 
 
-def is_local(corr: Correlation, tol: float = 1e-8) -> tuple[bool, LocalityReport]:
+def is_local(corr: Correlation, tol: float = SYMMETRIZE_TOL) -> tuple[bool, LocalityReport]:
     """Exact local-polytope membership by one linear program.
 
     The local polytope is the convex hull of the nA^nX * nB^nY deterministic

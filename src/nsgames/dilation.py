@@ -170,8 +170,6 @@ def product_povm_commuting(e: Povm, f: Povm) -> Povm:
     round-off), reported for the first such pair (a, b).  Outcome pairs are
     encoded row-major: (a, b) -> a * outcomes(F) + b.
     """
-    if e.dim != f.dim:
-        raise ValidationError("equal dimensions", detail=f"{e.dim} != {f.dim}")
     norms = commutator_norm(e.effects, f.effects)
     first = first_above(norms, SYMMETRIZE_TOL)
     if first is not None:
@@ -191,8 +189,6 @@ def joint_commuting_dilation(e: Povm, f: Povm) -> CommutingDilation:
     are PVMs that commute exactly (they are block sums of one orthogonal
     family) and reconstruct the products: V* P_a Q_b V = V* R_(a,b) V = E_a F_b.
     """
-    if e.dim != f.dim:
-        raise ValidationError("equal dimensions", detail=f"{e.dim} != {f.dim}")
     norms = commutator_norm(e.effects, f.effects)
     worst = float(norms.max())
     if worst > INVARIANT_TOL:

@@ -1,4 +1,5 @@
-"""Exception types, tolerances and size budgets shared across the package.
+"""Exception types, tolerances, size budgets and the relabeling cap shared
+across the package.
 
 The CLI maps the exceptions onto exit codes: ParseError -> 2,
 TooLargeError -> 3, PreconditionError -> 4, anything else -> 1.  A file's
@@ -9,19 +10,22 @@ the object's first line.
 Every threshold the package applies is one of these, sized for:
 
 * ``ROUNDING_TOL`` (1e-12): a few roundings of unit-scale data that is exact
-  in exact arithmetic (weight sums, negative probabilities, zero eigenvalues);
+  in exact arithmetic (weight sums, negative probabilities, zero eigenvalues,
+  the see-saw's two-outcome cut and its tie among top state eigenvalues);
 * ``FACTOR_TOL`` (1e-10): the residual of one factorization or normalization
-  (eigendecompositions, isometries, unit states, imaginary parts);
+  (eigendecompositions, isometries, unit states, imaginary parts), and the
+  relative gain below which a see-saw restart stops;
 * ``INVARIANT_TOL`` (1e-9): invariants of results built by chains of such
   steps (LP solutions, operator products, values against certificates);
 * ``SYMMETRIZE_TOL`` (1e-8): the Hermiticity defect that symmetrizing to
-  (M + M*)/2 may silently remove (supplied effects, products E_a F_b).
+  (M + M*)/2 may silently remove (supplied effects, products E_a F_b), and
+  the default verdict tolerance of ``is_local`` and of ``check``;
+* ``TIE_TOL`` (1e-15): one rounding of a unit-scale sum, within which the
+  see-saw's greedy step counts two eigenvalues or two objectives as tied.
 
 A failed check raises ValidationError (or NotPsdError) for an object's
 invariant, PreconditionError for inputs outside an operation's domain, and
-NumericError for a computed result.  The see-saw's step thresholds, the
-``tol`` default of ``is_local`` and the Gram-Schmidt floor of
-``linalg.extend_isometry_to_unitary`` are separate.
+NumericError for a computed result.
 
 Each engine counts, from shapes, the units of what it would build before it
 allocates or imports scipy; ``require_budget`` refuses more than a budget.  No
@@ -29,28 +33,31 @@ one count bounds both time and memory: the 10x10x2x2 membership LP must run
 and the ns LP of all_win(1,2,1,1)^23 (4.2e7 units) must not.  Measured on 2
 cores (R: a random 2x2x2x2 base without relabelings):
 
-================  ===================================================================
-budget            units counted by each engine (a measured instance)
-================  ===================================================================
-``WORK_BUDGET``   ``local_value``: nA^(nX-1) maps per f(0) kept at the chain's first level,
-(3e8, time)       fewer after the later levels (memory(R)^2: 1.67e7 in 0.18 s; memory(chsh)^2:
-                  2.6e5 scanned of 2.1e6 counted); ``top_deterministic_strategies``: nA^nX maps;
-                  dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
-                  10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
-                  from the shape for a game without symmetry, else after the orbit search
-``WORK_BUDGET``   ``qs_seesaw``: one sweep, seeds d^4 (d^2 + nX nY nA nB) (chsh, 20 seeds:
-                  d = 12: 6.6e7, 0.21 s per sweep; d = 16: 3.6e8, 0.76 s per sweep)
-``ENTRY_BUDGET``  ``iterate``, ``product_game``, ``load_game`` (from the header): predicate
-(2.5e7, memory)   entries; ``ns_value``: the full LP's columns and rows, nX nY (nA nB + 1 + nA
-                  + nB) + nX nA + nY nB, each an int32 orbit label and most a lifted p entry,
-                  about 20 B each (chsh^6, memory(chsh)^5: 1.73e7 in 1.3 s, 354 MB); within
-                  it the orbit search costs |G| (base LP points) + width (LP points) for base
-                  group G (all_win(2,2,3,3)^4: 1.7e6 units in 0.11 s, 35 MB; search 0.07 s)
-``ENTRY_BUDGET``  ``qs_seesaw``: strategy and state stacks, seeds d^2 (nX nA + nY nB + d^2)
-``ENTRY_BUDGET``  dilations: the dilated PVM's orthogonality check, k^2 K^2 entries for k
-                  outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB); a povm block's
-                  effects, outcomes dim^2 entries, from its header line
-================  ===================================================================
+==================  ===================================================================
+budget or cap       units counted by each engine (a measured instance)
+==================  ===================================================================
+``WORK_BUDGET``     ``local_value``: nA^(nX-1) maps per f(0) kept at the chain's first level,
+(3e8, time)         fewer after the later levels (memory(R)^2: 1.67e7 in 0.18 s; memory(chsh)^2:
+                    2.6e5 scanned of 2.1e6 counted); ``top_deterministic_strategies``: nA^nX maps;
+                    dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
+                    10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
+                    from the shape for a game without symmetry, else after the orbit search
+``WORK_BUDGET``     ``qs_seesaw``: one sweep, seeds d^4 (d^2 + nX nY nA nB) (chsh, 20 seeds:
+                    d = 12: 6.6e7, 0.21 s per sweep; d = 16: 3.6e8, 0.76 s per sweep)
+``ENTRY_BUDGET``    ``iterate``, ``product_game``, ``load_game`` (from the header): predicate
+(2.5e7, memory)     entries; ``ns_value``: the full LP's columns and rows, nX nY (nA nB + 1 + nA
+                    + nB) + nX nA + nY nB, each an int32 orbit label and most a lifted p entry,
+                    about 20 B each (chsh^6, memory(chsh)^5: 1.73e7 in 1.3 s, 354 MB); within
+                    it the orbit search costs |G| (base LP points) + width (LP points) for base
+                    group G (all_win(2,2,3,3)^4: 1.7e6 units in 0.11 s, 35 MB; search 0.07 s)
+``ENTRY_BUDGET``    ``qs_seesaw``: strategy and state stacks, seeds d^2 (nX nA + nY nB + d^2)
+``ENTRY_BUDGET``    dilations: the dilated PVM's orthogonality check, k^2 K^2 entries for k
+                    outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB); a povm block's
+                    effects, outcomes dim^2 entries, from its header line
+``RELABELING_CAP``  ``games.relabelings``: candidates nX! nY! (nA!)^nX (nB!)^nY.  The one cap
+(1e4)               that never raises: above it the search finds no relabelings, which leaves
+                    the engines unreduced, never wrong
+==================  ===================================================================
 
 A scanned map is a unit, not its work: the kernel adds nY nB numbers per
 map (64 for memory(R)^2), so the 1e8 maps of a 4x200x100x2 game (400 adds
@@ -63,9 +70,11 @@ ROUNDING_TOL = 1e-12
 FACTOR_TOL = 1e-10
 INVARIANT_TOL = 1e-9
 SYMMETRIZE_TOL = 1e-8
+TIE_TOL = 1e-15
 
 WORK_BUDGET = 3 * 10 ** 8
 ENTRY_BUDGET = 25 * 10 ** 6
+RELABELING_CAP = 10 ** 4
 
 
 class ValidationError(ValueError):

@@ -27,13 +27,9 @@ import numpy as np
 
 from . import optimize, textfile
 from .correlations import Alphabets, Correlation, deterministic_correlation, from_qs
-from .errors import (ENTRY_BUDGET, INVARIANT_TOL, ROUNDING_TOL, NumericError, ParseError,
-                     TooLargeError, ValidationError, require_budget)
+from .errors import (ENTRY_BUDGET, INVARIANT_TOL, RELABELING_CAP, ROUNDING_TOL, NumericError,
+                     ParseError, TooLargeError, ValidationError, require_budget)
 from .strategies import coordinate_blocks
-
-# Candidates nX! nY! (nA!)^nX (nB!)^nY the relabeling search tries; above it
-# the search finds none, which leaves the engines unreduced, never wrong.
-RELABELING_CAP = 10 ** 4
 
 
 def _question_dist(dist, shape: tuple, what: str) -> np.ndarray:
@@ -136,8 +132,8 @@ class ValueReport:
     """A computed game value with its certificate.
 
     ``kind`` is "loc", "ns", or "qs-lb"; ``exact`` is True for the first two.
-    The certificate always re-evaluates to the reported value within 1e-9
-    (checked at construction by :func:`value`).
+    The certificate always re-evaluates to the reported value within
+    ``INVARIANT_TOL`` (checked at construction by :func:`value`).
     """
 
     game_id: str
@@ -310,9 +306,10 @@ def inner_value_sequence(cylinder: CylinderGame, kind: str, n_max: int,
 
     The raw iterate values are non-increasing in n (each iterate's winning set
     contains the next); this is verified for the exact engines and a violation
-    beyond 1e-9 raises, since it can only come from an engine defect.  Stages
-    are computed one after another, in order of n, in the calling thread; the
-    first stage over a budget ends the sequence, and no later stage is started.
+    beyond ``INVARIANT_TOL`` raises, since it can only come from an engine
+    defect.  Stages are computed one after another, in order of n, in the
+    calling thread; the first stage over a budget ends the sequence, and no
+    later stage is started.
     """
     entries: list[SequenceEntry] = []
     for n in range(1, n_max + 1):
@@ -387,8 +384,9 @@ def load_game(text: str) -> FiniteGame | CylinderGame:
         raise ParseError("expected 'game nX nY nA nB [window w]'", line=start)
     sizes = textfile.sizes(tokens[1:5], 4, start)
     window = textfile.sizes(tokens[6:], 1, start)[0] if len(tokens) == 7 else None
-    # 2 ** 25 > ENTRY_BUDGET: capping w at 25 keeps the verdict, cheaply
-    require_budget(math.prod(n ** min(window or 1, 25) for n in sizes), ENTRY_BUDGET,
+    # n ** c > ENTRY_BUDGET for n >= 2 once c reaches its bit length: the cap keeps the verdict
+    cap = ENTRY_BUDGET.bit_length()
+    require_budget(math.prod(n ** min(window or 1, cap) for n in sizes), ENTRY_BUDGET,
                    "game file predicate")
     shape = nx, ny, na, nb = tuple(n ** (window or 1) for n in sizes)
     win = np.zeros(shape, dtype=bool)

@@ -104,10 +104,10 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-``INVARIANT_TOL``, 0) are treated as round-off and
     clipped to 0; a lower eigenvalue raises NotPsdError carrying the
-    offending value.  Positive eigenvalues below ``ROUNDING_TOL`` (1e-12) are
-    also zeroed: their square roots (~1e-6 and larger) would otherwise
-    amplify round-off far above the value they represent, while zeroing them
-    perturbs R^2 by at most 1e-12.
+    offending value.  Positive eigenvalues below ``ROUNDING_TOL`` are also
+    zeroed: their square roots (~1e-6 and larger) would otherwise amplify
+    round-off far above the value they represent, while zeroing them perturbs
+    R^2 by at most ``ROUNDING_TOL``.
     """
     eigenvalues, vectors = herm_eig(matrix)
     smallest = float(eigenvalues[-1]) if eigenvalues.size else 0.0
@@ -156,33 +156,19 @@ def projection_defects(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def extend_isometry_to_unitary(isometry: np.ndarray) -> np.ndarray:
     """Complete a K x H isometry to a K x K unitary whose first H columns are V.
 
-    Completion columns come from Gram-Schmidt of the coordinate basis against
-    the existing columns (deterministic), with one re-orthogonalization pass
-    for stability.  Both V*V and U*U must be the identity within
-    ``FACTOR_TOL``.
+    The completion columns are the last K - H columns of the complete
+    Householder QR factorization of V (deterministic), an orthonormal basis
+    of the complement of V's range.  Both V*V and U*U must be the identity
+    within ``FACTOR_TOL``.
     """
     isometry = np.asarray(isometry, dtype=complex)
     if isometry.ndim != 2 or isometry.shape[0] < isometry.shape[1]:
         raise PreconditionError(f"expected tall matrix, got shape {isometry.shape}")
-    k, h = isometry.shape
     defect = isometry_defect(isometry)
     if defect > FACTOR_TOL:
         raise PreconditionError(f"columns not orthonormal (residual {defect:.3e})")
-    columns = [isometry[:, j] for j in range(h)]
-    for j in range(k):
-        if len(columns) == k:
-            break
-        candidate = np.zeros(k, dtype=complex)
-        candidate[j] = 1.0
-        for _ in range(2):  # two passes of modified Gram-Schmidt
-            for col in columns:
-                candidate = candidate - np.vdot(col, candidate) * col
-        norm = np.linalg.norm(candidate)
-        if norm > 1e-8:
-            columns.append(candidate / norm)
-    if len(columns) != k:
-        raise NumericError("failed to complete isometry to a unitary basis")
-    unitary = np.column_stack(columns)
+    complement = np.linalg.qr(isometry, mode="complete")[0][:, isometry.shape[1]:]
+    unitary = np.hstack([isometry, complement])
     residual = isometry_defect(unitary)
     if residual > FACTOR_TOL:
         raise NumericError("completed matrix is not unitary", residual=residual)

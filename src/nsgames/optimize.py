@@ -41,8 +41,8 @@ import numpy as np
 from . import rand, strategies
 from .channels import FiniteChannel, Povm
 from .correlations import Correlation, is_no_signalling, qs_probabilities
-from .errors import (ENTRY_BUDGET, FACTOR_TOL, INVARIANT_TOL, WORK_BUDGET, NumericError,
-                     TooLargeError, ValidationError, require_budget)
+from .errors import (ENTRY_BUDGET, FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, TIE_TOL, WORK_BUDGET,
+                     NumericError, TooLargeError, ValidationError, require_budget)
 from .linalg import hermitize
 from .simplex import LinearProgram, simplex_solve
 
@@ -344,14 +344,14 @@ def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np
     ``payoff_ops`` and ``current`` are (..., k, d, d); every leading index is
     an independent instance, solved by the same batched LAPACK calls.  Two
     outcomes are solved exactly: F_0 is the spectral projection of R_0 - R_1
-    onto eigenvalues > 0 (eigenvalues within 1e-12 of zero count as positive),
-    F_1 its complement.  More outcomes use a greedy rank-one assignment of
-    eigenvectors: d rounds, each giving the top eigenvector of R_b restricted
-    to the still unassigned subspace to the b with the largest top eigenvalue
-    (ties within 1e-15 to the lowest b), whose orthogonal complement, from a
-    complete QR factorization, is the next round's subspace.  An instance
-    keeps its input POVM whenever the greedy result would decrease the
-    objective.
+    onto eigenvalues > 0 (eigenvalues within ``ROUNDING_TOL`` of zero count as
+    positive), F_1 its complement.  More outcomes use a greedy rank-one
+    assignment of eigenvectors: d rounds, each giving the top eigenvector of
+    R_b restricted to the still unassigned subspace to the b with the largest
+    top eigenvalue (ties within ``TIE_TOL`` to the lowest b), whose orthogonal
+    complement, from a complete QR factorization, is the next round's
+    subspace.  An instance keeps its input POVM whenever the greedy result
+    would decrease the objective by more than ``TIE_TOL``.
     """
     payoff_ops = np.asarray(payoff_ops, dtype=complex)
     *batch, k, d, _ = payoff_ops.shape
@@ -359,7 +359,7 @@ def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np
         return np.broadcast_to(np.eye(d, dtype=complex), (*batch, 1, d, d)).copy()
     if k == 2:
         vals, vecs = np.linalg.eigh(hermitize(payoff_ops[..., 0, :, :] - payoff_ops[..., 1, :, :]))
-        selected = vecs * (vals >= -1e-12)[..., None, :]
+        selected = vecs * (vals >= -ROUNDING_TOL)[..., None, :]
         f0 = selected @ selected.conj().swapaxes(-1, -2)
         return np.stack([f0, np.eye(d) - f0], axis=-3)
 
@@ -374,7 +374,7 @@ def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np
         best_b = np.zeros(rows.size, dtype=int)
         best = vals[:, 0, -1]
         for b in range(1, k):
-            better = vals[:, b, -1] > best + 1e-15
+            better = vals[:, b, -1] > best + TIE_TOL
             best_b[better] = b
             best = np.where(better, vals[:, b, -1], best)
         coeffs = vecs[rows, best_b, :, -1]
@@ -384,7 +384,7 @@ def seesaw_measurement_update(payoff_ops: np.ndarray, current: np.ndarray) -> np
             basis = basis @ np.linalg.qr(coeffs[..., None], mode="complete")[0][..., 1:]
     gain_new = np.einsum("rbij,rbji->r", ops, candidate).real
     gain_old = np.einsum("rbij,rbji->r", ops, current).real
-    keep = (gain_new >= gain_old - 1e-15)[:, None, None, None]
+    keep = (gain_new >= gain_old - TIE_TOL)[:, None, None, None]
     return np.where(keep, candidate, current).reshape(*batch, k, d, d)
 
 
@@ -392,12 +392,12 @@ def seesaw_state_update(operator: np.ndarray) -> np.ndarray:
     """Top unit eigenvector of a Hermitian operator, canonically phased.
 
     ``operator`` is (..., n, n), one instance per leading index.  Among
-    eigenvalues within 1e-12 of the maximum the lowest eigh index is taken,
-    and the phase is fixed by making the largest-magnitude component real and
-    positive; for the identity this yields the first basis vector.
+    eigenvalues within ``ROUNDING_TOL`` of the maximum the lowest eigh index
+    is taken, and the phase is fixed by making the largest-magnitude component
+    real and positive; for the identity this yields the first basis vector.
     """
     vals, vecs = np.linalg.eigh(hermitize(operator))
-    idx = np.argmax(vals >= vals[..., -1:] - 1e-12, axis=-1)
+    idx = np.argmax(vals >= vals[..., -1:] - ROUNDING_TOL, axis=-1)
     vector = np.take_along_axis(vecs, idx[..., None, None], axis=-1)[..., 0]
     pivot = np.take_along_axis(vector, np.argmax(np.abs(vector), axis=-1)[..., None], axis=-1)
     vector = vector / (pivot / np.abs(pivot))
@@ -450,8 +450,8 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
     running and over the inputs: each sub-step is one stacked call of
     ``seesaw_measurement_update`` or ``seesaw_state_update`` (whose greedy
     k-outcome step takes its complement bases from QR).  A restart stops
-    when the relative gain over one sweep falls below 1e-10 and keeps its
-    own history.  Ties across restarts break to the lowest index, so to the
+    when the relative gain over one sweep falls below ``FACTOR_TOL`` and
+    keeps its own history.  Ties across restarts break to the lowest index, so to the
     ``loc`` optimum first.  One sweep's work and the seeds' stacks are
     checked against the ``errors`` budgets first.
     """
@@ -488,7 +488,7 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
         running = []
         for s, v in zip(active.tolist(), values(a, b, p).tolist()):
             histories[s].append(v)
-            if v - histories[s][-2] >= 1e-10 * max(1.0, abs(histories[s][-2])):
+            if v - histories[s][-2] >= FACTOR_TOL * max(1.0, abs(histories[s][-2])):
                 running.append(s)
         active = np.array(running, dtype=int)
     best = int(np.argmax([h[-1] for h in histories]))

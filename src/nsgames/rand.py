@@ -45,7 +45,7 @@ def random_unitaries(gauss: np.ndarray) -> np.ndarray:
     one stacked QR, each column's phase fixed by the diagonal of R."""
     q, r = np.linalg.qr(gauss)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
+    diag[diag == 0] = 1.0  # any nonzero entry has a unit phase
     return q * (diag / np.abs(diag))[..., None, :]
 
 

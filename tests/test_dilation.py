@@ -9,6 +9,8 @@ from nsgames import (
     PreconditionError,
     Pvm,
     ValidationError,
+    channels_commute,
+    commutes_with,
     joint_commuting_dilation,
     naimark,
     product_channel,
@@ -17,6 +19,7 @@ from nsgames import (
     tensor_povm,
 )
 from nsgames import rand
+from nsgames.errors import INVARIANT_TOL
 from nsgames.linalg import commutator_norm, max_abs
 
 from conftest import I2, PAULI_X, PAULI_Z, basis_pvm, commuting_povm_pair, pauli_pvm, trine_povm
@@ -95,8 +98,11 @@ class TestSimultaneousNaimark:
         channel = FiniteChannel([Povm(rand.random_povm_effects(3, 4, rng))
                                  for _ in range(3)])
         dil = simultaneous_naimark(channel)
-        for pvm in dil.dilated:
+        w = dil.isometry
+        for pvm, povm in zip(dil.dilated, channel.povms):
             assert isinstance(pvm, Pvm)
+            assert max(max_abs(w.conj().T @ pvm.effects[a] @ w - povm.effects[a])
+                       for a in range(4)) <= INVARIANT_TOL
 
     def test_isometry_is_input_independent_inclusion(self, rng):
         channel = FiniteChannel([Povm(rand.random_povm_effects(2, 2, rng))
@@ -185,6 +191,18 @@ class TestProductPovm:
     def test_rejects_non_commuting(self):
         with pytest.raises(PreconditionError):
             product_povm_commuting(pauli_pvm(PAULI_Z), pauli_pvm(PAULI_X))
+
+
+@pytest.mark.parametrize("call", [
+    lambda e, f: commutes_with(e, f.effects[0]),
+    lambda e, f: channels_commute(FiniteChannel([e]), FiniteChannel([f])),
+    product_povm_commuting,
+    joint_commuting_dilation,
+], ids=["commutes_with", "channels_commute", "product_povm_commuting",
+        "joint_commuting_dilation"])
+def test_mismatched_dimensions_raise(call):
+    with pytest.raises(ValidationError, match="equal dimensions"):
+        call(pauli_pvm(PAULI_Z), basis_pvm(3))
 
 
 class TestTensorPovm:

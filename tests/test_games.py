@@ -405,6 +405,20 @@ class TestHugeWindowHeaders:
         with pytest.raises(TooLargeError, match="game file predicate"):
             load_game(f"{header}\ndist 1.0\n")
 
+    def test_window_cap_follows_the_budget(self, monkeypatch):
+        import tracemalloc
+
+        # 2^27 entries are over a 2^26 budget, and a fixed cap of 25 would admit them
+        monkeypatch.setattr(games, "ENTRY_BUDGET", 2 ** 26)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="game file predicate"):
+                load_game("game 2 1 1 1 window 27\ndist 1.0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
 
 class TestValidationAndFormat:
     def test_dist_must_normalize(self):

