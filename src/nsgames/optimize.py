@@ -112,30 +112,31 @@ def _lp_labels(game: "FiniteGame") -> list[np.ndarray]:
     sizes = dict(x=px.shape[1], y=py.shape[1], a=sa.shape[2], b=sb.shape[2])
     labels = []
     for families in ("xyab", "xa", "yb"), ("xy", "xay", "ybx"):  # columns, then rows
-        parts = []
-        for family in families:
-            shape = [sizes[axis] for axis in family]
+        shapes = [[sizes[axis] for axis in family] for family in families]
+        ends = np.cumsum([math.prod(n ** width for n in shape) for shape in shapes])
+        out = np.zeros(ends[-1], dtype=np.int32)  # ENTRY_BUDGET < 2^31
+        for family, shape, start, end in zip(families, shapes, [0, *ends[:-1]], ends):
             point = dict(zip(family, np.indices(shape).reshape(len(family), -1)))
             x, y, a, b = (point.get(axis, 0) for axis in "xyab")
             moved = dict(x=px[:, x], y=py[:, y], a=sa[:, x, a], b=sb[:, y, b])
             minima = _orbit_labels(np.ravel_multi_index([moved[axis] for axis in family], shape))
-            parts.append(sum(map(len, parts)) + _product_minima(minima, shape, width))
-        labels.append(np.concatenate(parts))
+            _product_minima(minima, shape, width, out[start:end])
+            out[start:end] += start
+        labels.append(out)
     return labels
 
 
-def _product_minima(minima: np.ndarray, shape, width: int) -> np.ndarray:
-    """Orbit minima of the width-tuples of points of ``shape`` from those of
-    the points, row-major: a product of orbits has the tuple of their minima
-    as its minimum, since row-major order compares coordinate by coordinate."""
-    labels = np.zeros(math.prod(n ** width for n in shape), dtype=np.int32)  # ENTRY_BUDGET < 2^31
+def _product_minima(minima: np.ndarray, shape, width: int, out: np.ndarray) -> None:
+    """Add into ``out`` (zeros) the orbit minima of the width-tuples of points
+    of ``shape`` from those of the points, row-major: a product of orbits has
+    the tuple of their minima as its minimum, since row-major order compares
+    coordinate by coordinate."""
     digits = np.unravel_index(minima, shape)
     for i in range(width):  # every point's minimum, moved to coordinate i
         moved = np.ravel_multi_index([d * n ** (width - 1 - i) for d, n in zip(digits, shape)],
                                      [n ** width for n in shape])
-        view = strategies.coordinate_blocks(labels, shape, i, 1, width)
+        view = strategies.coordinate_blocks(out, shape, i, 1, width)
         view += strategies.coordinate_blocks(moved, shape, 0, 1, 1)
-    return labels
 
 
 def _lp_orbits(game: "FiniteGame") -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -6,13 +6,14 @@ Problems are maximizations over the nonnegative orthant,
 
 which covers the no-signalling LP of ``optimize.ns_value`` and the
 local-membership LP of ``correlations.is_local``.  The matrices may be dense
-arrays or scipy sparse arrays.  ``simplex_solve`` calls
-``scipy.optimize.linprog(method="highs")``, the dual revised simplex of
-Huangfu & Hall, "Parallelizing the dual revised simplex method", Math. Prog.
-Comp. 10 (2018), with HiGHS's presolve off: on the package's LPs it cost
-more time than it saved.  It returns the primal point with the dual y of the
-maximization, so that a caller can certify the optimum itself:
-c - A^T y <= 0 and b.y >= c.x.  scipy is imported on the first solve.
+arrays or scipy sparse arrays.  ``simplex_solve`` passes the rows [A_ub; A_eq]
+straight to scipy's HiGHS binding ``scipy.optimize._highspy._core``, with the
+model, options and post-solve check of ``linprog(method="highs")``: the dual
+revised simplex of Huangfu & Hall, Math. Prog. Comp. 10 (2018), with presolve
+off, which on the package's LPs cost more time than it saved.  It returns the
+primal point with the dual y of the maximization, so that a caller can
+certify the optimum itself: c - A^T y <= 0 and b.y >= c.x.  scipy is
+imported on the first solve.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import INVARIANT_TOL, NumericError, ValidationError
 
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
+# linprog's options: HiGHS's defaults (dual simplex, solver "choose") but these
+_OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "off"))
 
 
 @dataclass(frozen=True)
@@ -86,19 +89,47 @@ class SimplexResult:
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Solve ``lp`` with HiGHS.  Raises ``NumericError`` when HiGHS stops
-    short of optimality, infeasibility or unboundedness."""
-    from scipy.optimize import linprog
+    short of optimality, infeasibility or unboundedness, or when its optimum
+    fails ``_check_optimal``."""
+    from scipy.optimize._highspy import _core as highs
+    from scipy.sparse import csr_array, vstack
 
-    result = linprog(-lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                     bounds=(0, None), method="highs", options={"presolve": False})
-    status = _STATUS.get(result.status)
+    n, n_ub = lp.num_vars, 0 if lp.b_ub is None else lp.b_ub.size
+    mats = [csr_array(m) for m in (lp.a_ub, lp.a_eq) if m is not None] or [csr_array((0, n))]
+    a = mats[0] if len(mats) == 1 else vstack(mats, format="csr")
+    upper = np.concatenate([np.zeros(0)] + [b for b in (lp.b_ub, lp.b_eq) if b is not None])
+    lower = np.concatenate([np.full(n_ub, -np.inf), upper[n_ub:]])
+    solver, error = highs._Highs(), highs.HighsStatus.kError
+    # passModel(columns, rows, nonzeros, format, sense, offset, cost, column bounds,
+    # row bounds, matrix, integrality): min -c.x over continuous x >= 0
+    failed = (any(solver.setOptionValue(*option) == error for option in _OPTIONS)
+              or solver.passModel(n, a.shape[0], a.nnz, int(highs.MatrixFormat.kRowwise),
+                                  int(highs.ObjSense.kMinimize), 0.0, -lp.objective, np.zeros(n),
+                                  np.full(n, np.inf), lower, upper, a.indptr, a.indices, a.data,
+                                  np.zeros(n, np.int32)) == error
+              or solver.run() == error)
+    model_status = solver.getModelStatus()
+    status = None if failed else _STATUS.get(model_status.name)
     if status is None:
-        raise NumericError(f"HiGHS stopped: {result.message}")
+        raise NumericError(f"HiGHS stopped: {solver.modelStatusToString(model_status)}")
+    info = solver.getInfo()
     if status != "optimal":
         return SimplexResult(status, np.inf if status == "unbounded" else np.nan,
-                             np.full(lp.num_vars, np.nan), iterations=int(result.nit))
-    # scipy's marginals are those of min -c.x
-    duals = [-np.asarray(side.marginals) for mat, side in
-             ((lp.a_eq, result.eqlin), (lp.a_ub, result.ineqlin)) if mat is not None]
-    return SimplexResult("optimal", -float(result.fun), np.asarray(result.x),
-                         np.concatenate(duals) if duals else np.zeros(0), int(result.nit))
+                             np.full(n, np.nan), iterations=info.simplex_iteration_count)
+    solution = solver.getSolution()
+    x, optimum = np.array(solution.col_value), -info.objective_function_value
+    _check_optimal(a, lower, upper, x, optimum)
+    dual = -np.array(solution.row_dual)  # of min -c.x over the rows [A_ub; A_eq]
+    return SimplexResult("optimal", optimum, x, np.concatenate([dual[n_ub:], dual[:n_ub]]),
+                         info.simplex_iteration_count)
+
+
+def _check_optimal(a, lower, upper, x: np.ndarray, optimum: float) -> None:
+    """Raise ``NumericError`` unless ``optimum`` is a number, x >= 0 and
+    lower <= a x <= upper, each within 10 sqrt(``INVARIANT_TOL``):
+    ``linprog``'s post-solve check at its default ``tol``, which equals
+    ``INVARIANT_TOL``.  A NaN fails."""
+    rows = a @ x
+    worst = max(float(np.max(e, initial=-np.inf)) for e in (-x, rows - upper, lower - rows))
+    if np.isnan(optimum) or not worst <= 10 * np.sqrt(INVARIANT_TOL):
+        raise NumericError("HiGHS optimum violates the constraints", residual=worst)

@@ -4,9 +4,63 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from nsgames import LinearProgram, ValidationError, chsh, simplex_solve
+from nsgames import (Correlation, FiniteGame, LinearProgram, NumericError, SimplexResult,
+                     ValidationError, chsh, correlations, is_local, iterate, memory_game,
+                     random_game, simplex_solve)
 from nsgames import rand
 from nsgames.optimize import ns_value_lp
+from nsgames.simplex import _check_optimal
+
+from conftest import pr_box
+
+
+def linprog_solve(lp):
+    """``lp`` solved by ``linprog`` with presolve off, its answer mapped onto
+    ``SimplexResult``: the reference that ``simplex_solve`` must match."""
+    result = linprog(-lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                     bounds=(0, None), method="highs", options={"presolve": False})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[result.status]
+    if status != "optimal":
+        return SimplexResult(status, np.inf if status == "unbounded" else np.nan,
+                             np.full(lp.num_vars, np.nan), iterations=int(result.nit))
+    # scipy's marginals are those of min -c.x
+    duals = [-np.asarray(side.marginals) for mat, side in
+             ((lp.a_eq, result.eqlin), (lp.a_ub, result.ineqlin)) if mat is not None]
+    return SimplexResult("optimal", -float(result.fun), np.asarray(result.x),
+                         np.concatenate(duals) if duals else np.zeros(0), int(result.nit))
+
+
+def reference_lps():
+    """Orbit and full no-signalling LPs, membership LPs of a local mixture and
+    of a noisy PR box, one infeasible and one unbounded LP, and two LPs
+    without rows."""
+    from test_correlations import random_local
+    from test_games import symmetric_bases
+
+    gen = rand.generator(23)
+    lps = []
+    for base in symmetric_bases():
+        stage = iterate(memory_game(base), 1)
+        assert stage.symmetry
+        lps += [ns_value_lp(stage), ns_value_lp(FiniteGame(stage.win, stage.dist))]
+    for _ in range(4):
+        shape = tuple(int(n) for n in gen.integers(2, 4, size=4))
+        lps.append(ns_value_lp(random_game(shape, gen)))
+    lps.append(ns_value_lp(random_game((6, 6, 6, 6), gen)))
+    solve = correlations.simplex_solve
+
+    def recorded(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlations, "simplex_solve", recorded)
+        noisy = 0.7 * pr_box().p + 0.3 * random_local(gen).p
+        assert is_local(Correlation(random_local(gen, (3, 2, 3, 2)).p))[0]
+        assert not is_local(Correlation(noisy))[0]
+    return lps + [LinearProgram([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]),
+                  LinearProgram([1.0, 0.0], a_eq=[[0.0, 1.0]], b_eq=[1.0]),
+                  LinearProgram([-1.0, -2.0]), LinearProgram([1.0])]  # no rows
 
 
 class TestBasics:
@@ -100,6 +154,21 @@ class TestCertificates:
 
 
 class TestAgainstScipy:
+    def test_same_answer_as_linprog_bit_for_bit(self):
+        # the same HiGHS run as linprog's: same pivots, point, dual and optimum
+        lps = reference_lps()
+        statuses = []
+        for lp in lps:
+            mine, ref = simplex_solve(lp), linprog_solve(lp)
+            statuses.append(mine.status)
+            assert mine.status == ref.status and mine.iterations == ref.iterations
+            assert np.array_equal(mine.x, ref.x, equal_nan=True)
+            assert np.array_equal(mine.dual, ref.dual)
+            assert mine.optimum == ref.optimum or np.isnan(mine.optimum) and np.isnan(ref.optimum)
+        assert statuses[-4:] == ["infeasible", "unbounded", "optimal", "unbounded"]
+        assert statuses.count("optimal") == len(lps) - 3
+        assert sum(lp.a_ub is not None for lp in lps) >= 2  # the membership LPs
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), n=st.integers(1, 8))
     def test_random_bounded_lps(self, seed, m, n):
@@ -132,3 +201,48 @@ class TestAgainstScipy:
                       bounds=(0, None), method="highs")
         assert mine.status == "optimal" and ref.success
         assert mine.optimum == pytest.approx(-ref.fun, abs=1e-8)
+
+
+class TestPostSolveCheck:
+    # max 2 x0 + x1 + x2 s.t. x0 + x1 = 1, x2 = 0.5, x0 <= 0.75: x = (0.75, 0.25, 0.5)
+    LP = LinearProgram([2.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                       b_eq=[1.0, 0.5], a_ub=[[1.0, 0.0, 0.0]], b_ub=[0.75])
+    # the rows [A_ub; A_eq] with their bounds, as simplex_solve stacks them
+    ROWS = (np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([-np.inf, 1.0, 0.5]), np.array([0.75, 1.0, 0.5]))
+
+    def solved(self):
+        result = simplex_solve(self.LP)
+        assert result.status == "optimal" and result.optimum == pytest.approx(2.25, abs=1e-12)
+        assert np.allclose(result.x, [0.75, 0.25, 0.5], rtol=0, atol=1e-12)
+        return result.x.copy(), result.optimum
+
+    # each shift moves one row: x2's equality, or x0 against its inequality
+    @pytest.mark.parametrize("shift", [(0, 0, 1e-3), (0, 0, -1e-3), (1e-3, -1e-3, 0)],
+                             ids=["equality", "equality-below", "inequality"])
+    def test_violated_row_raises(self, shift):
+        x, optimum = self.solved()
+        with pytest.raises(NumericError, match="violates"):
+            _check_optimal(*self.ROWS, x + shift, optimum)
+
+    @pytest.mark.parametrize("size", [1e-7, -1e-7, 1e-4, -1e-4])
+    def test_within_tolerance_passes(self, size):
+        # 1e-7 is HiGHS's primal feasibility tolerance; linprog admits up to 3.2e-4
+        x, optimum = self.solved()
+        _check_optimal(*self.ROWS, x + (0, 0, size), optimum)
+        _check_optimal(*self.ROWS, x + (size, -size, 0), optimum)
+
+    def test_negative_entry_raises(self):
+        no_rows = (np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+        _check_optimal(*no_rows, np.array([0.5, -1e-7, 0.5]), 1.0)
+        with pytest.raises(NumericError, match="violates"):
+            _check_optimal(*no_rows, np.array([0.5, -1e-3, 0.5]), 1.0)
+
+    def test_nan_raises(self):
+        x, optimum = self.solved()
+        _check_optimal(*self.ROWS, x, optimum)
+        with pytest.raises(NumericError, match="violates"):
+            _check_optimal(*self.ROWS, x, np.nan)
+        x[0] = np.nan
+        with pytest.raises(NumericError, match="violates"):
+            _check_optimal(*self.ROWS, x, optimum)
