@@ -30,6 +30,8 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 EXIT_PRECONDITION = 4
+_EXIT_CODES = {ParseError: EXIT_PARSE, TooLargeError: EXIT_TOO_LARGE,
+               PreconditionError: EXIT_PRECONDITION}
 
 
 def _fmt(value: float) -> str:
@@ -51,10 +53,14 @@ def _load_finite_game(path: str) -> games_mod.FiniteGame:
     return game
 
 
+def _seesaw_options(args) -> dict:
+    """The see-saw keywords of ``games.value``, which the exact kinds ignore."""
+    return dict(dim=args.d, seeds=args.seeds, max_sweeps=args.sweeps, rng_seed=args.rng_seed)
+
+
 def cmd_value(args) -> int:
     game = _load_finite_game(args.game)
-    report = games_mod.value(game, args.type, dim=args.d, seeds=args.seeds,
-                             max_sweeps=args.sweeps, rng_seed=args.rng_seed)
+    report = games_mod.value(game, args.type, **_seesaw_options(args))
     if args.format == "machine":
         print(f"value {report.kind} {_fmt(report.value)}")
         return EXIT_OK
@@ -89,11 +95,8 @@ def cmd_sequence(args) -> int:
         cylinder = (games_mod.embed if args.mode == "iid" else games_mod.memory_game)(game)
     with_running = args.mode != "iid"
 
-    opts = {}
-    if args.type == "qs":
-        opts = dict(dim=args.d, seeds=args.seeds, max_sweeps=args.sweeps,
-                    rng_seed=args.rng_seed)
-    entries, truncated = games_mod.inner_value_sequence(cylinder, args.type, args.n_max, **opts)
+    entries, truncated = games_mod.inner_value_sequence(cylinder, args.type, args.n_max,
+                                                        **_seesaw_options(args))
     if args.format == "machine":
         for e in entries:
             running = f" {_fmt(e.running_max)}" if with_running else ""
@@ -265,18 +268,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code = next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), None)
+        print(f"error: {exc}" if code else f"internal error: {exc}", file=sys.stderr)
+        return code or EXIT_INTERNAL
 
 
 if __name__ == "__main__":

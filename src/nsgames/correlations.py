@@ -179,7 +179,7 @@ def from_local(weights, alice_channels, bob_channels) -> Correlation:
     corr = Correlation(p)
     ok, cert = is_no_signalling(corr, tol=ROUNDING_TOL)
     if not ok:  # pragma: no cover - mixtures of products cannot signal
-        raise ValidationError("no-signalling", residual=cert.worst)
+        raise NumericError("no-signalling", residual=cert.worst)
     return corr
 
 
@@ -218,7 +218,7 @@ def from_qs(e: FiniteChannel, f: FiniteChannel, psi) -> Correlation:
     corr = Correlation(p)
     ok, cert = is_no_signalling(corr)
     if not ok:  # pragma: no cover - impossible for valid channels
-        raise ValidationError("no-signalling", residual=cert.worst)
+        raise NumericError("no-signalling", residual=cert.worst)
     return corr
 
 
@@ -244,7 +244,7 @@ def from_qc(e: FiniteChannel, f: FiniteChannel, xi) -> Correlation:
     corr = Correlation(p.real)
     ok, cert = is_no_signalling(corr)
     if not ok:  # pragma: no cover - impossible once commuting holds
-        raise ValidationError("no-signalling", residual=cert.worst)
+        raise NumericError("no-signalling", residual=cert.worst)
     return corr
 
 
@@ -312,8 +312,6 @@ def _membership_lp(p: np.ndarray):
     objective[-1] = -1.0
     result = simplex_solve(LinearProgram(objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub,
                                          b_ub=np.concatenate([target, -target])))
-    if result.status != "optimal":  # pragma: no cover - LP is always feasible
-        raise PreconditionError(f"membership LP ended with status {result.status}")
     return -result.optimum, fs, np.clip(result.x[:-1], 0.0, None).reshape(n_f, nY, nB)
 
 

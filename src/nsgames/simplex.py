@@ -5,26 +5,27 @@ Problems are maximizations over the nonnegative orthant,
     max c.x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0,
 
 which covers the no-signalling LP of ``optimize.ns_value`` and the
-local-membership LP of ``correlations.is_local``.  The matrices may be dense
-arrays or scipy sparse arrays.  ``simplex_solve`` passes the rows [A_ub; A_eq]
-straight to scipy's HiGHS binding ``scipy.optimize._highspy._core``, with the
-model, options and post-solve check of ``linprog(method="highs")``: the dual
-revised simplex of Huangfu & Hall, Math. Prog. Comp. 10 (2018), with presolve
-off, which on the package's LPs cost more time than it saved.  It returns the
-primal point with the dual y of the maximization, so that a caller can
-certify the optimum itself: c - A^T y <= 0 and b.y >= c.x.  scipy is
-imported on the first solve.
+local-membership LP of ``correlations.is_local``.  ``LinearProgram`` stores
+every matrix as CSR, whether it came dense or sparse.  ``simplex_solve``
+passes the rows [A_ub; A_eq] straight to scipy's HiGHS binding
+``scipy.optimize._highspy._core``, with the model, options and post-solve
+check of ``linprog(method="highs")``: the dual revised simplex of Huangfu &
+Hall, Math. Prog. Comp. 10 (2018), with presolve off, which on the package's
+LPs cost more time than it saved.  A solve either returns an optimum that
+passed the post-solve check, with the dual y of the maximization, so that a
+caller can certify it itself (c - A^T y <= 0 and b.y >= c.x), or raises
+``NumericError`` naming HiGHS's model status.  scipy is imported on first
+use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import INVARIANT_TOL, NumericError, ValidationError
 
-_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
 # linprog's options: HiGHS's defaults (dual simplex, solver "choose") but these
 _OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "off"))
 
@@ -33,8 +34,8 @@ _OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "off
 class LinearProgram:
     """max objective . x subject to equalities, inequalities, and x >= 0.
 
-    ``a_eq`` and ``a_ub`` may be dense or scipy sparse; sparse ones are kept
-    as CSR.
+    ``a_eq`` and ``a_ub`` may be dense (a single row may be 1-D) or scipy
+    sparse; both are stored as CSR.
     """
 
     objective: np.ndarray
@@ -44,6 +45,8 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
 
     def __post_init__(self):
+        from scipy.sparse import csr_array, issparse
+
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
         object.__setattr__(self, "objective", c)
         finite = [c]
@@ -54,15 +57,13 @@ class LinearProgram:
                                       detail=f"{mat_name} and {vec_name} must come together")
             if mat is None:
                 continue
-            sparse = hasattr(mat, "tocsr")
-            mat = (mat.tocsr().astype(float, copy=False) if sparse
-                   else np.atleast_2d(np.asarray(mat, dtype=float)))
+            mat = csr_array(mat if issparse(mat) else np.atleast_2d(mat), dtype=float)
             vec = np.atleast_1d(np.asarray(vec, dtype=float))
             if mat.shape != (vec.shape[0], c.shape[0]):
                 raise ValidationError("consistent shapes", detail=(
                     f"{mat_name} is {mat.shape[0]} x {mat.shape[1]} with {vec.shape[0]} "
                     f"right-hand sides and {c.shape[0]} variables"))
-            finite += [mat.data if sparse else mat, vec]
+            finite += [mat.data, vec]
             object.__setattr__(self, mat_name, mat)
             object.__setattr__(self, vec_name, vec)
         if not all(np.all(np.isfinite(arr)) for arr in finite):
@@ -75,27 +76,25 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """One solve.  ``dual`` is y over the equality rows, then the inequality
-    rows (y >= 0 there), from which a caller forms c - A^T y and b.y;
-    ``iterations`` is the HiGHS simplex iteration count.  Only an optimal
-    result carries a dual."""
+    """One optimal solve.  ``dual`` is y over the equality rows, then the
+    inequality rows (y >= 0 there), from which a caller forms c - A^T y and
+    b.y; ``iterations`` is the HiGHS simplex iteration count."""
 
-    status: str                      # "optimal" | "infeasible" | "unbounded"
     optimum: float
     x: np.ndarray                    # values of the caller's variables
-    dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    iterations: int = 0
+    dual: np.ndarray
+    iterations: int
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Solve ``lp`` with HiGHS.  Raises ``NumericError`` when HiGHS stops
-    short of optimality, infeasibility or unboundedness, or when its optimum
-    fails ``_check_optimal``."""
+    short of an optimum, naming its model status, or when the optimum fails
+    ``_check_optimal``."""
     from scipy.optimize._highspy import _core as highs
     from scipy.sparse import csr_array, vstack
 
     n, n_ub = lp.num_vars, 0 if lp.b_ub is None else lp.b_ub.size
-    mats = [csr_array(m) for m in (lp.a_ub, lp.a_eq) if m is not None] or [csr_array((0, n))]
+    mats = [m for m in (lp.a_ub, lp.a_eq) if m is not None] or [csr_array((0, n))]
     a = mats[0] if len(mats) == 1 else vstack(mats, format="csr")
     upper = np.concatenate([np.zeros(0)] + [b for b in (lp.b_ub, lp.b_eq) if b is not None])
     lower = np.concatenate([np.full(n_ub, -np.inf), upper[n_ub:]])
@@ -109,18 +108,13 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
                                   np.zeros(n, np.int32)) == error
               or solver.run() == error)
     model_status = solver.getModelStatus()
-    status = None if failed else _STATUS.get(model_status.name)
-    if status is None:
+    if failed or model_status != highs.HighsModelStatus.kOptimal:
         raise NumericError(f"HiGHS stopped: {solver.modelStatusToString(model_status)}")
-    info = solver.getInfo()
-    if status != "optimal":
-        return SimplexResult(status, np.inf if status == "unbounded" else np.nan,
-                             np.full(n, np.nan), iterations=info.simplex_iteration_count)
-    solution = solver.getSolution()
+    info, solution = solver.getInfo(), solver.getSolution()
     x, optimum = np.array(solution.col_value), -info.objective_function_value
     _check_optimal(a, lower, upper, x, optimum)
     dual = -np.array(solution.row_dual)  # of min -c.x over the rows [A_ub; A_eq]
-    return SimplexResult("optimal", optimum, x, np.concatenate([dual[n_ub:], dual[:n_ub]]),
+    return SimplexResult(optimum, x, np.concatenate([dual[n_ub:], dual[:n_ub]]),
                          info.simplex_iteration_count)
 
 

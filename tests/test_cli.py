@@ -385,6 +385,19 @@ class TestCheckCommand:
         assert line.startswith("check local fail")
         assert float(line.split()[3]) == pytest.approx(0.125, abs=1e-9)
 
+    def test_failed_membership_lp_exit_1(self, tmp_path, capsys, monkeypatch):
+        # an LP the engine cannot solve is an internal defect, not a precondition
+        from nsgames import LinearProgram, correlations, simplex_solve
+
+        infeasible = LinearProgram([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])  # x = 1, x = 2
+        monkeypatch.setattr(correlations, "simplex_solve", lambda lp: simplex_solve(infeasible))
+        path = tmp_path / "pr.corr"
+        path.write_text(dump_correlation(pr_box()))
+        assert main(["check", str(path), "--test", "local"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: HiGHS stopped: Infeasible\n"
+        assert captured.out == ""
+
     def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
         path = tmp_path / "pr.corr"
         path.write_text(dump_correlation(pr_box()))

@@ -15,19 +15,18 @@ from conftest import pr_box
 
 
 def linprog_solve(lp):
-    """``lp`` solved by ``linprog`` with presolve off, its answer mapped onto
-    ``SimplexResult``: the reference that ``simplex_solve`` must match."""
+    """``lp`` solved by ``linprog`` with presolve off: its status (0 optimal,
+    2 infeasible, 3 unbounded) and, when optimal, its answer mapped onto
+    ``SimplexResult``, the reference that ``simplex_solve`` must match."""
     result = linprog(-lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
                      bounds=(0, None), method="highs", options={"presolve": False})
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[result.status]
-    if status != "optimal":
-        return SimplexResult(status, np.inf if status == "unbounded" else np.nan,
-                             np.full(lp.num_vars, np.nan), iterations=int(result.nit))
+    if result.status != 0:
+        return result.status, None
     # scipy's marginals are those of min -c.x
     duals = [-np.asarray(side.marginals) for mat, side in
              ((lp.a_eq, result.eqlin), (lp.a_ub, result.ineqlin)) if mat is not None]
-    return SimplexResult("optimal", -float(result.fun), np.asarray(result.x),
-                         np.concatenate(duals) if duals else np.zeros(0), int(result.nit))
+    return 0, SimplexResult(-float(result.fun), np.asarray(result.x),
+                            np.concatenate(duals) if duals else np.zeros(0), int(result.nit))
 
 
 def reference_lps():
@@ -68,7 +67,6 @@ class TestBasics:
         # max x s.t. x <= 1
         lp = LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0])
         result = simplex_solve(lp)
-        assert result.status == "optimal"
         assert result.optimum == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_polytope(self):
@@ -79,21 +77,36 @@ class TestBasics:
 
     def test_unbounded(self):
         lp = LinearProgram([1.0, 0.0], a_eq=[[0.0, 1.0]], b_eq=[1.0])
-        assert simplex_solve(lp).status == "unbounded"
+        with pytest.raises(NumericError, match="^HiGHS stopped: Unbounded$"):
+            simplex_solve(lp)
 
     def test_infeasible_with_residual(self):
         lp = LinearProgram([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
-        assert simplex_solve(lp).status == "infeasible"
+        with pytest.raises(NumericError, match="^HiGHS stopped: Infeasible$"):
+            simplex_solve(lp)
 
     def test_no_constraints(self):
         assert simplex_solve(LinearProgram([-1.0, -2.0])).optimum == 0.0
-        assert simplex_solve(LinearProgram([1.0])).status == "unbounded"
+        with pytest.raises(NumericError, match="^HiGHS stopped: Unbounded$"):
+            simplex_solve(LinearProgram([1.0]))
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             LinearProgram([1.0, 2.0], a_eq=[[1.0]], b_eq=[1.0])
         with pytest.raises(ValidationError):
             LinearProgram([np.inf])
+        with pytest.raises(ValidationError, match="finite"):
+            LinearProgram([1.0], a_eq=[[np.nan]], b_eq=[1.0])
+
+    def test_matrices_stored_as_csr(self):
+        from scipy.sparse import coo_array
+
+        dense = LinearProgram([1.0, 2.0], a_eq=[[1, 0], [0, 1]], b_eq=[1.0, 1.0],
+                              a_ub=[1.0, 1.0], b_ub=[2.5])  # one row, given 1-D
+        coo = LinearProgram([1.0, 2.0], a_eq=coo_array([[1, 0], [0, 1]]), b_eq=[1.0, 1.0])
+        for mat, shape in ((dense.a_eq, (2, 2)), (dense.a_ub, (1, 2)), (coo.a_eq, (2, 2))):
+            assert mat.format == "csr" and mat.dtype == float and mat.shape == shape
+        assert simplex_solve(dense).optimum == pytest.approx(3.0, abs=1e-12)
 
     def test_sparse_matches_dense(self):
         from scipy.sparse import csr_array
@@ -133,7 +146,6 @@ class TestCertificates:
             shape = tuple(int(rng.integers(2, 4)) for _ in range(4))
             lp = ns_value_lp(random_game(shape, rng))
             result = simplex_solve(lp)
-            assert result.status == "optimal"
             assert abs(result.optimum - float(lp.b_eq @ result.dual)) <= 1e-8
 
     def test_dual_feasibility_sign(self, rng):
@@ -156,17 +168,22 @@ class TestCertificates:
 class TestAgainstScipy:
     def test_same_answer_as_linprog_bit_for_bit(self):
         # the same HiGHS run as linprog's: same pivots, point, dual and optimum
+        # where linprog stops infeasible (2) or unbounded (3), simplex_solve
+        # raises with HiGHS's status
         lps = reference_lps()
         statuses = []
         for lp in lps:
-            mine, ref = simplex_solve(lp), linprog_solve(lp)
-            statuses.append(mine.status)
-            assert mine.status == ref.status and mine.iterations == ref.iterations
-            assert np.array_equal(mine.x, ref.x, equal_nan=True)
-            assert np.array_equal(mine.dual, ref.dual)
-            assert mine.optimum == ref.optimum or np.isnan(mine.optimum) and np.isnan(ref.optimum)
-        assert statuses[-4:] == ["infeasible", "unbounded", "optimal", "unbounded"]
-        assert statuses.count("optimal") == len(lps) - 3
+            status, ref = linprog_solve(lp)
+            statuses.append(status)
+            if ref is None:
+                with pytest.raises(NumericError, match="^HiGHS stopped: (Infeasible|Unbounded)$"):
+                    simplex_solve(lp)
+                continue
+            mine = simplex_solve(lp)
+            assert mine.iterations == ref.iterations and mine.optimum == ref.optimum
+            assert np.array_equal(mine.x, ref.x) and np.array_equal(mine.dual, ref.dual)
+        assert statuses[-4:] == [2, 3, 0, 3]
+        assert statuses.count(0) == len(lps) - 3
         assert sum(lp.a_ub is not None for lp in lps) >= 2  # the membership LPs
 
     @settings(max_examples=30, deadline=None)
@@ -178,7 +195,7 @@ class TestAgainstScipy:
         c = gen.uniform(-1.0, 2.0, size=n)
         mine = simplex_solve(LinearProgram(c, a_ub=a_ub, b_ub=b_ub))
         ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-        assert mine.status == "optimal" and ref.success
+        assert ref.success
         assert mine.optimum == pytest.approx(-ref.fun, abs=1e-8)
         # inequality duals of a maximization are nonnegative and close the gap
         assert float(mine.dual.min()) >= -1e-9
@@ -199,7 +216,7 @@ class TestAgainstScipy:
                                            a_ub=a_ub, b_ub=b_ub))
         ref = linprog(-c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
                       bounds=(0, None), method="highs")
-        assert mine.status == "optimal" and ref.success
+        assert ref.success
         assert mine.optimum == pytest.approx(-ref.fun, abs=1e-8)
 
 
@@ -213,7 +230,7 @@ class TestPostSolveCheck:
 
     def solved(self):
         result = simplex_solve(self.LP)
-        assert result.status == "optimal" and result.optimum == pytest.approx(2.25, abs=1e-12)
+        assert result.optimum == pytest.approx(2.25, abs=1e-12)
         assert np.allclose(result.x, [0.75, 0.25, 0.5], rtol=0, atol=1e-12)
         return result.x.copy(), result.optimum
 
