@@ -31,17 +31,18 @@ Each engine counts, from shapes, the units of what it would build before it
 allocates or imports scipy; ``require_budget`` refuses more than a budget.  No
 one count bounds both time and memory: the 10x10x2x2 membership LP must run
 and the ns LP of all_win(1,2,1,1)^23 (4.2e7 units) must not.  Measured on 2
-cores (R: a random 2x2x2x2 base without relabelings):
+cores (R: ``default_rng(5).random((2,) * 4) < 0.5``, uniform, no relabelings):
 
 ==================  ===================================================================
 budget or cap       units counted by each engine (a measured instance)
 ==================  ===================================================================
 ``WORK_BUDGET``     ``local_value``: nA^(nX-1) maps per f(0) kept at the chain's first level,
-(3e8, time)         fewer after the later levels (memory(R)^2: 1.67e7 in 0.18 s; memory(chsh)^2:
-                    2.6e5 scanned of 2.1e6 counted); ``top_deterministic_strategies``: nA^nX maps;
-                    dense rows x columns of the ``is_local`` LP (10x10x2x2: 2.05e8 in
-                    10 s) and of the ``ns_value`` orbit LP (memory(R)^2: 4.6e6 in 0.2 s),
-                    from the shape for a game without symmetry, else after the orbit search
+(3e8, time)         counted before later levels and bounds prune (memory(R)^2: 6.3e5 scanned
+                    of 1.67e7 in 6 ms; memory(chsh)^2: 8.2e4 of 2.1e6);
+                    ``top_deterministic_strategies``: nA^nX maps; dense rows x columns of the
+                    ``is_local`` LP (10x10x2x2: 2.05e8 in 10 s) and of the ``ns_value`` orbit
+                    LP (memory(R)^2: 4.6e6 in 0.2 s), from the shape for a game without
+                    symmetry, else after the orbit search
 ``WORK_BUDGET``     ``qs_seesaw``: one sweep, seeds d^4 (d^2 + nX nY nA nB) (chsh, 20 seeds:
                     d = 12: 6.6e7, 0.21 s per sweep; d = 16: 3.6e8, 0.76 s per sweep)
 ``ENTRY_BUDGET``    ``iterate``, ``product_game``, ``load_game`` (from the header): predicate
@@ -59,9 +60,9 @@ budget or cap       units counted by each engine (a measured instance)
                     the engines unreduced, never wrong
 ==================  ===================================================================
 
-A scanned map is a unit, not its work: the kernel adds nY nB numbers per
-map (64 for memory(R)^2), so the 1e8 maps of a 4x200x100x2 game (400 adds
-each) pass and take 20 s, where 3e8 maps of memory(R)^2 would take 3 s.
+A counted map is a unit, not its work: a scanned map costs nY nB adds (64 for
+memory(R)^2, 3 s per 3e8 unpruned), so the 1e8 maps of a random 4x200x100x2
+game (400 adds each, none pruned) pass and take 20-55 s.
 """
 
 from __future__ import annotations

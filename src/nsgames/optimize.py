@@ -13,14 +13,16 @@ Three engines live here:
   maps, within ``errors.WORK_BUDGET``, are enumerated by the kernel in
   ``strategies``: a meet-in-the-middle split of her input set, scored in exact
   integers when the payoffs allow it (uniform questions) and in float64
-  otherwise.  Bob's best reply, computed in closed form per question, gives
-  the value.  The enumeration order is row-major over (f(0), ..., f(nX-1))
-  with f(0) most significant, and ties break to the lowest strategy index
-  (exactly on the integer path).  On an iterate only maps canonical along a
-  stabiliser chain are scanned: each of f(0), ..., f(split - 1) is, on every
-  coordinate, the minimum of its orbit under the base relabelings fixing the
-  earlier questions and answers (the split, from nX//2, moves on while the
-  chain cuts and stays balanced), which keeps the lowest-index optimum.
+  otherwise, past its first block skipping the rows and maps whose bounds
+  cannot reach a score found.  Bob's best reply, computed in closed form per
+  question, gives the value.  The enumeration order is row-major over (f(0),
+  ..., f(nX-1)) with f(0) most significant, and ties break to the lowest
+  strategy index (exactly on the integer path).  On an iterate only maps
+  canonical along a stabiliser chain are scanned: each of f(0), ...,
+  f(split - 1) is, on every coordinate, the minimum of its orbit under the
+  base relabelings fixing the earlier questions and answers (the split, from
+  nX//2, moves on while the chain cuts and stays balanced), which keeps the
+  lowest-index optimum.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state from the ``local_value`` optimum and
   random restarts, returning a certified quantum-spatial lower bound (the

@@ -1,15 +1,33 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nsgames import all_win, chsh, iterate, local_value, memory_game, never_win
+from nsgames import (
+    all_win,
+    chsh,
+    embed,
+    iterate,
+    local_value,
+    memory_game,
+    never_win,
+    random_game,
+    relabelings,
+    strategies,
+)
+from nsgames.optimize import _payoff_tensor, _scan_rows
 from nsgames.strategies import (
     argmax_strategy,
+    best_reply,
+    halves,
     kernel_weights,
     map_digits,
+    plane_scores,
+    scan_scores,
     top_strategies,
 )
 
@@ -33,6 +51,16 @@ def prefix_tree(rows, split, n_a):
         keeps.append(np.searchsorted(kept, level // n_a) * n_a + level % n_a)
         kept = level
     return keeps
+
+
+def unpruned(tensor, rows, keeps):
+    """``argmax_strategy`` without its bounds: every row against every map."""
+    first, second = halves(tensor, keeps)
+    scores = np.concatenate([block.copy() for _, block in scan_scores(first, second)])
+    i, j = np.unravel_index(np.argmax(scores), scores.shape)
+    f = tuple(map_digits(int(rows[i]) * scores.shape[1] + int(j), *tensor.shape[:2]).tolist())
+    g, value = best_reply(tensor, f)
+    return value, f, g
 
 
 def brute_force_ranking(tensor):
@@ -114,6 +142,118 @@ class TestAgainstBruteForce:
             direct = sum(tensor[x, f[x], y, g[y]]
                          for x in range(shape[0]) for y in range(shape[1]))
             assert direct == pytest.approx(v, abs=1e-12)
+
+
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    """Scan one row per block, so that every row after the first is bounded."""
+    monkeypatch.setattr(strategies, "_BLOCK_BYTES", 1)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """[rows, maps] that each ``scan_scores`` call of ``argmax_strategy`` scans."""
+    shapes = []
+
+    def record(first, second):
+        shapes.append([0, second.shape[2]])
+        for start, scores in scan_scores(first, second):
+            shapes[-1][0] += len(scores)
+            yield start, scores
+    monkeypatch.setattr(strategies, "scan_scores", record)
+    return shapes
+
+
+class TestPruning:
+    """``argmax_strategy`` scans the rows after its first block only where
+    their bounds reach an incumbent; every answer must be the unpruned scan's,
+    bit for bit on both paths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 3),
+                           st.integers(1, 3)),
+           bits=st.sampled_from([0, 10]), signed=st.booleans(),
+           block_bytes=st.sampled_from([1, 100, 1 << 18]), data=st.data())
+    def test_same_pair_as_unpruned_scan(self, seed, shape, bits, signed, block_bytes, data):
+        tensor = random_case(seed, shape, bits)
+        if signed:
+            tensor *= np.random.default_rng(seed).choice([-1.0, 1.0], tensor.shape)
+        split = data.draw(st.integers(shape[0] // 2, shape[0]))
+        rows = sorted(data.draw(st.sets(st.integers(0, shape[2] ** split - 1), min_size=1)))
+        rows = np.array(rows)
+        keeps = prefix_tree(rows, split, shape[2])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(strategies, "_BLOCK_BYTES", block_bytes)
+            assert argmax_strategy(tensor, rows, keeps) == unpruned(tensor, rows, keeps)
+
+    def test_float_bounds_add_in_scan_order(self, one_row_blocks):
+        # Map 0 of the second part dominates, so each row's bound is its score
+        # there.  numpy sums 9 contiguous terms pairwise, and summed that way
+        # the bound of row 1, the best, falls below the score the scan adds in
+        # order: such a bound would prune the optimum.
+        tensor = np.random.default_rng(8).random((2, 2, 9, 2)) / 18
+        tensor[1, 1:] = 0.0
+        tensor[0, 0] *= 0.5
+        first, second = halves(tensor, [slice(None)])
+        terms = (first[1] + second[..., 0]).max(axis=0)
+        in_order = functools.reduce(operator.add, terms)
+        assert terms.sum() < in_order == plane_scores(first, second)[1, 0]
+        rows, keeps = every_row(tensor)
+        assert argmax_strategy(tensor, rows, keeps)[1] == (1, 0)
+        assert argmax_strategy(tensor, rows, keeps) == unpruned(tensor, rows, keeps)
+
+    def test_signed_tensor(self, one_row_blocks):
+        tensor = np.random.default_rng(3).normal(size=(3, 3, 9, 2))
+        ranking = brute_force_ranking(tensor)
+        best = max(range(len(ranking)), key=lambda k: (ranking[k][0], -k))
+        rows, keeps = every_row(tensor)
+        value, f, g = argmax_strategy(tensor, rows, keeps)
+        assert (f, g) == ranking[best][1:] and value == pytest.approx(ranking[best][0], abs=1e-12)
+        assert (value, f, g) == unpruned(tensor, rows, keeps)
+
+    def test_tie_in_a_row_before_the_incumbent(self, one_row_blocks, scanned):
+        # Row 0 is the first block (best 8).  Of the later rows, row 2 has the
+        # larger bound (10 against 9) and its best score, 9, is the incumbent,
+        # which prunes map 0 (bound 8); map 5, in row 1, ties it and wins by index.
+        tensor = np.array([[[[2, 0], [1, 1]], [[2, 0], [0, 2]], [[0, 3], [1, 3]]],
+                           [[[0, 1], [3, 1]], [[0, 2], [2, 1]], [[3, 0], [2, 2]]]]) / 4
+        first, second = halves(tensor, [slice(None)])
+        upper = plane_scores(second.max(axis=2)[None], first.transpose(1, 2, 0))
+        assert upper.tolist() == [[9, 9, 10]]
+        assert plane_scores(first, second).tolist() == [[6, 5, 8], [5, 5, 9], [8, 9, 8]]
+        result = argmax_strategy(tensor, *every_row(tensor))
+        assert result[:2] == (2.25, (1, 2)) and result == brute_force_ranking(tensor)[5]
+        assert scanned == [[1, 3], [2, 2]]
+
+
+class TestCut:
+    """How much the bounds prune: the scans made, pinned, and the answer still
+    that of the unpruned scan over the same rows."""
+
+    def check(self, game):
+        tensor, (rows, keeps) = _payoff_tensor(game), _scan_rows(game)
+        value, (f, g) = local_value(game)
+        assert (value, f, g) == unpruned(tensor, rows, keeps)
+        return len(rows), tensor.shape[1] ** (tensor.shape[0] - len(keeps))
+
+    def test_memory_chsh_squared(self, scanned):
+        assert self.check(iterate(memory_game(chsh()), 2)) == (512, 512)
+        assert scanned == [[64, 512], [148, 336]]
+
+    def test_iid_chsh_cubed_prunes_nothing(self, scanned):
+        assert self.check(iterate(embed(chsh()), 3)) == (512, 512)
+        assert scanned == [[64, 512], [448, 512]]
+
+    @pytest.mark.parametrize("n, expected", [(2, [[8, 4096], [620, 625]]), (3, [[8, 4096]])],
+                             ids=["memory", "iid"])
+    def test_random_base_without_relabelings(self, scanned, n, expected):
+        # memory(R)^2 and iid(R)^3 scan 4096 rows of 4096 maps unpruned
+        base = random_game((2, 2, 2, 2), np.random.default_rng(3), uniform_dist=True)
+        assert len(relabelings(base)) == 1
+        game = iterate(memory_game(base), 2) if n == 2 else iterate(embed(base), 3)
+        assert self.check(game) == (4096, 4096)
+        assert scanned == expected
 
 
 class TestTies:
