@@ -55,9 +55,10 @@ budget or cap       units counted by each engine (a measured instance)
 ``ENTRY_BUDGET``    dilations: the dilated PVM's orthogonality check, k^2 K^2 entries for k
                     outcomes on C^K (64 outcomes on C^8: 1.07e9, 16 GiB); a povm block's
                     effects, outcomes dim^2 entries, from its header line
-``RELABELING_CAP``  ``games.relabelings``: candidates nX! nY! (nA!)^nX (nB!)^nY.  The one cap
-(1e4)               that never raises: above it the search finds no relabelings, which leaves
-                    the engines unreduced, never wrong
+``RELABELING_CAP``  ``games.relabelings``: candidates nX! nY! (nA!)^nX (nB!)^nY, and ENTRY_BUDGET
+(1e4)               for candidates x window x predicate entries (at most 2.9e5 at window 1, 1.9e7
+                    for memory games).  The one cap that never raises: above either the search
+                    finds no relabelings, which leaves the engines unreduced, never wrong
 ==================  ===================================================================
 
 A counted map is a unit, not its work: a scanned map costs nY nB adds (64 for

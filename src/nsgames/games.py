@@ -8,17 +8,18 @@ a finite game, over tuple alphabets of width w + n - 1.  Tuple alphabets are
 always encoded row-major (first coordinate most significant), matching the
 correlation module, and ``strategies.map_digits`` decodes them.
 
-A relabeling permutes the questions of each party and each party's answers
-per question, fixing ``win`` and ``dist``.  ``embed`` and ``memory_game``
-find the base game's relabelings, and ``iterate`` hands them on with its
-width: the base group acting on each coordinate independently fixes the
-iterate, so every orbit of the iterate is a product of base orbits, which the
-engines in ``optimize`` reduce by.  Other games (built directly, loaded, or
-products) carry none.
+A relabeling permutes the questions of each party and each party's answers per
+question.  A cylinder game, however built or loaded, finds the base
+relabelings fixing its question distribution and, at each window coordinate,
+its predicate; ``iterate`` passes them with its width to the ``FiniteGame`` it
+builds.  Acting on each coordinate independently they fix the iterate, so its
+orbits are products of base orbits, which the engines in ``optimize`` reduce
+by.  Finite games built directly, loaded, or as products carry none.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -56,6 +57,51 @@ def _predicate(win) -> np.ndarray:
     return win
 
 
+@functools.cache
+def _candidates(shape: tuple) -> tuple:
+    """Permutations px, py of the questions and sa, sb of the answers at every question,
+    and points[c, p]: the flat base point that candidate c, one of each in row-major
+    order, sends p to (int16: no size passes 7 under ``RELABELING_CAP``); read-only."""
+    nX, nY, nA, nB = shape
+    px, py, pa, pb = (np.array(list(itertools.permutations(range(n))), dtype=np.int16)
+                      for n in shape)
+    sa, sb = (p[np.indices((len(p),) * m).reshape(m, -1).T] for p, m in ((pa, nX), (pb, nY)))
+    x, y, a, b = np.indices(shape).reshape(4, -1)
+    points = (((px[:, None, None, None, x] * nY + py[:, None, None, y]) * nA + sa[:, None, x, a])
+              * nB + sb[:, y, b]).reshape(-1, x.size)
+    for array in (px, py, sa, sb, points):
+        array.setflags(write=False)
+    return px, py, sa, sb, points
+
+
+def relabelings(game: FiniteGame | CylinderGame) -> tuple:
+    """The base relabelings (px, py, sa, sb) fixing the game (``embed(game)`` for a finite
+    game), identity first; each maps (x, y, a, b) to (px[x], py[y], sa[x, a], sb[y, b]).
+    All candidates are tried at once, coordinate by coordinate, until only the identity is
+    left; above ``RELABELING_CAP`` of them, or ``ENTRY_BUDGET`` candidates x window x
+    predicate entries, it returns ().  Party swaps are not considered."""
+    game = game if isinstance(game, CylinderGame) else embed(game)
+    shape, window = game.base_shape, game.window
+    count = math.prod(math.factorial(n) ** m for n, m in zip(shape, (1, 1, *shape[:2])))
+    if count > RELABELING_CAP or count * window * game.win.size > ENTRY_BUDGET:
+        return ()
+    px, py, sa, sb, points = _candidates(shape)
+    dist = game.base_dist
+    fixed = (dist[px[:, None, :, None], py[None, :, None, :]] == dist).all(axis=(2, 3))
+    alive = np.flatnonzero(np.repeat(fixed, len(sa) * len(sb)))
+    for k in range(window):
+        if alive.size == 1:
+            break
+        # each base point at coordinate k, labelled by the first whose packed row matches
+        rows = np.packbits(coordinate_blocks(game.win, shape, k, 1, window).transpose(
+            1, 4, 7, 10, 0, 2, 3, 5, 6, 8, 9, 11).reshape(points.shape[1], -1), axis=1)
+        keys = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+        labels = (keys[:, None] == keys).argmax(axis=0).astype(np.int16)
+        alive = alive[(labels[points[alive]] == labels).all(axis=1)]
+    chosen = np.unravel_index(alive, (len(px), len(py), len(sa), len(sb)))
+    return tuple((px[i], py[j], sa[k], sb[m]) for i, j, k, m in zip(*chosen))
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class FiniteGame(Alphabets):
     """Rule predicate ``win`` over (x,y,a,b) and question distribution ``dist``."""
@@ -63,18 +109,17 @@ class FiniteGame(Alphabets):
     win: np.ndarray
     dist: np.ndarray
     name: str = field(default="", compare=False)
-    # (group, width), set by ``iterate``: base relabelings, identity first, each
-    # fixing win and dist on any one of the width coordinates; () for no other.
-    symmetry: tuple = field(default=(), init=False, compare=False)
+    # (group, width) from ``iterate``: base relabelings, identity first, each fixing
+    # win and dist on any one of the width coordinates; () for no other.
+    symmetry: tuple = field(default=(), compare=False)
 
-    def __init__(self, win, dist, name: str = ""):
-        win = _predicate(win)
+    def __post_init__(self):
+        win = _predicate(self.win)
         if win.ndim != 4:
             raise ValidationError("rank-4 predicate", detail=f"shape {win.shape}")
-        dist = _question_dist(dist, win.shape[:2], "distribution over question pairs")
         object.__setattr__(self, "win", win)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dist", _question_dist(self.dist, win.shape[:2],
+                                                        "distribution over question pairs"))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -100,27 +145,25 @@ class CylinderGame:
     win: np.ndarray
     base_dist: np.ndarray
     name: str = field(default="", compare=False)
-    # The base game's relabelings; set by ``embed`` and ``memory_game``.
-    relabelings: tuple = field(default=(), init=False, compare=False)
+    # the base relabelings fixing the game, searched for on first use
+    relabelings = functools.cached_property(relabelings)
 
-    def __init__(self, window, base_shape, win, base_dist, name: str = ""):
-        window = int(window)
+    def __post_init__(self):
+        window = int(self.window)
         if window < 1:
             raise ValidationError("window >= 1", residual=float(window))
-        base_shape = tuple(int(n) for n in base_shape)
-        win = _predicate(win)
+        base_shape = tuple(int(n) for n in self.base_shape)
+        win = _predicate(self.win)
         # an exponent past every dimension's bit length keeps the verdict when capped
         cap = max(win.shape, default=0).bit_length() + 1
         if win.shape != tuple(n ** min(window, cap) for n in base_shape):
             raise ValidationError("windowed predicate shape",
                                   detail=f"{win.shape} vs {base_shape} ** {window}")
-        base_dist = _question_dist(base_dist, base_shape[:2],
-                                   "distribution over base question pairs")
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "base_shape", base_shape)
         object.__setattr__(self, "win", win)
-        object.__setattr__(self, "base_dist", base_dist)
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "base_dist", _question_dist(
+            self.base_dist, base_shape[:2], "distribution over base question pairs"))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -193,42 +236,9 @@ def product_game(g1: FiniteGame, g2: FiniteGame) -> FiniteGame:
     return FiniteGame(win, dist, name=name)
 
 
-def relabelings(game: FiniteGame) -> tuple:
-    """Every relabeling (px, py, sa, sb) that fixes ``win`` and ``dist`` exactly.
-
-    It maps (x, y, a, b) to (px[x], py[y], sa[x, a], sb[y, b]); the identity
-    comes first.  The search tries every candidate at once; above
-    ``RELABELING_CAP`` candidates it returns ().  Swapping the parties is not
-    considered.
-    """
-    nX, nY, nA, nB = game.shape
-    f = math.factorial
-    if f(nX) * f(nY) * f(nA) ** nX * f(nB) ** nY > RELABELING_CAP:
-        return ()
-
-    def perms(n: int, copies: int) -> np.ndarray:  # (count, copies, n)
-        one = np.array(list(itertools.permutations(range(n))))
-        return one[np.indices((len(one),) * copies).reshape(copies, -1).T]
-
-    px, py, sa, sb = perms(nX, 1), perms(nY, 1), perms(nA, nX), perms(nB, nY)
-    X = px.reshape(-1, 1, 1, 1, nX, 1, 1, 1)  # candidate axes, then (x, y, a, b)
-    Y = py.reshape(1, -1, 1, 1, 1, nY, 1, 1)
-    A = sa.reshape(1, 1, -1, 1, nX, 1, nA, 1)
-    B = sb.reshape(1, 1, 1, -1, 1, nY, 1, nB)
-    fixed = (game.win[X, Y, A, B] == game.win).all(axis=(4, 5, 6, 7))
-    fixed &= (game.dist[X[..., 0, 0], Y[..., 0, 0]] == game.dist).all(axis=(4, 5))
-    return tuple((px[i, 0], py[j, 0], sa[k], sb[m]) for i, j, k, m in np.argwhere(fixed))
-
-
-def _carrying(game, attribute: str, value):
-    object.__setattr__(game, attribute, value)
-    return game
-
-
 def embed(game: FiniteGame) -> CylinderGame:
     """The window-1 cylinder game whose iterates are the parallel repetitions."""
-    return _carrying(CylinderGame(1, game.shape, game.win, game.dist, name=game.name),
-                     "relabelings", relabelings(game))
+    return CylinderGame(1, game.shape, game.win, game.dist, name=game.name)
 
 
 def memory_game(game: FiniteGame) -> CylinderGame:
@@ -244,8 +254,7 @@ def memory_game(game: FiniteGame) -> CylinderGame:
     ).reshape(nX * nX, nY * nY, nA * nA, nB * nB)
     win2.setflags(write=False)
     name = f"memory({game.name})" if game.name else ""
-    return _carrying(CylinderGame(2, game.shape, win2, game.dist, name=name),
-                     "relabelings", relabelings(game))
+    return CylinderGame(2, game.shape, win2, game.dist, name=name)
 
 
 def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
@@ -268,15 +277,14 @@ def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
     for k in range(n):
         view = coordinate_blocks(win, cylinder.base_shape, k, w, width)
         view &= coordinate_blocks(cylinder.win, cylinder.base_shape, 0, w, w)
-    dist = np.ones((nX ** width, nY ** width))
-    for k in range(width):
+    dist = cylinder.base_dist ** width if nX * nY == 1 else np.ones((nX ** width, nY ** width))
+    for k in range(width if nX * nY > 1 else 0):  # one question pair needs no loop
         view = coordinate_blocks(dist, (nX, nY), k, 1, width)
         view *= coordinate_blocks(cylinder.base_dist, (nX, nY), 0, 1, 1)
     win.setflags(write=False)
     name = f"{cylinder.name}^({n})" if cylinder.name else ""
     group = cylinder.relabelings
-    return _carrying(FiniteGame(win, dist, name=name), "symmetry",
-                     (group, width) if len(group) > 1 else ())
+    return FiniteGame(win, dist, name=name, symmetry=(group, width) if len(group) > 1 else ())
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,16 @@ def rng():
     return rand.generator(20240925)
 
 
+@pytest.fixture
+def r0():
+    """R0: a seeded 2x2x2x2 predicate with uniform questions, whose only
+    relabeling is the identity."""
+    from nsgames import FiniteGame
+
+    return FiniteGame(np.random.default_rng(5).random((2, 2, 2, 2)) < 0.5,
+                      np.full((2, 2), 0.25), name="R0")
+
+
 def lifted_relabelings(game) -> list:
     """Reference for a game's ``symmetry`` (group, width): each base relabeling
     applied to one coordinate of the width-``width`` tuple alphabets, as

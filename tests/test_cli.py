@@ -223,6 +223,28 @@ class TestSequenceCommand:
                      "--n-max", "1", "--format", "machine"]) == 0
         assert capsys.readouterr().out == "entry 1 1.0 1.0 1.0\n"
 
+    def test_unary_cylinder_with_huge_window_is_fast(self, tmp_path, capsys):
+        # the window-10^7 predicate has one entry; nothing may loop over its width
+        path = tmp_path / "wide.game"
+        path.write_text("game 1 1 1 1 window 10000000\ndist 1.0\nwin 0 0 0 0\n")
+        start = time.perf_counter()
+        assert main(["sequence", str(path), "--mode", "inner", "--type", "loc",
+                     "--n-max", "1", "--format", "machine"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "entry 1 1.0 1.0 1.0\n"
+
+    def test_loaded_memory_game_keeps_its_symmetry(self, tmp_path, chsh_file, capsys):
+        # the dumped memory(chsh) carries chsh's relabelings, so its ns stages
+        # reach as far as --mode memory's
+        path = tmp_path / "memory.game"
+        path.write_text(dump_game(games.memory_game(chsh())))
+        outputs = []
+        for args in ([str(path), "--mode", "inner"], [chsh_file, "--mode", "memory"]):
+            assert main(["sequence", *args, "--type", "ns", "--n-max", "5",
+                         "--format", "machine"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == "".join(f"entry {n} 1.0 1.0 1.0\n" for n in range(1, 6))
+
     def test_memory_ns_n3_independent_of_threads(self, chsh_file, capsys):
         # n = 3 is an 8,448 x 66,048 NS LP, solved over 3 x 18 orbits
         outputs = []

@@ -248,13 +248,68 @@ class TestRelabelings:
         assert relabelings(big) == ()
         assert iterate(embed(big), 2).symmetry == ()
 
-    def test_only_derived_games_carry_them(self):
+    def test_cylinders_carry_them_however_built(self, r0):
         game = chsh()
         assert game.symmetry == ()
         assert product_game(game, game).symmetry == ()
-        assert load_game(dump_game(memory_game(game))).relabelings == ()
-        assert iterate(load_game(dump_game(embed(game))), 2).symmetry == ()
-        assert len(iterate(embed(game), 2).symmetry[0]) > 1
+        assert load_game(dump_game(game)).symmetry == ()
+        for make in (embed, memory_game):
+            built = make(game)
+            loaded = load_game(dump_game(built))
+            assert len(loaded.relabelings) == len(built.relabelings) == 8
+            for mine, theirs in zip(loaded.relabelings, built.relabelings):
+                assert all(np.array_equal(p, q) for p, q in zip(mine, theirs))
+            assert iterate(loaded, 2).symmetry[0] is loaded.relabelings
+        loaded = load_game(dump_game(memory_game(r0)))
+        assert len(loaded.relabelings) == 1 and iterate(loaded, 1).symmetry == ()
+
+    def test_window_coordinates_each_fix_the_predicate(self):
+        # base (2,1,2,2), window 2: everything wins at coordinate 0, and a == b
+        # must hold at coordinate 1, so relabelings acting at coordinate 0 fix
+        # the predicate where most acting at coordinate 1 do not
+        _, _, a, b = np.indices((2, 1, 2, 2))
+        shape = (2, 2, 1, 1, 2, 2, 2, 2)  # (x0, x1, y0, y1, a0, a1, b0, b1)
+        later = (a == b)[None, :, None, :, None, :, None, :]
+        win = np.broadcast_to(later, shape).reshape(4, 1, 4, 4)
+        cylinder = CylinderGame(2, (2, 1, 2, 2), win, [[0.5], [0.5]])
+        multi = cylinder.win.reshape(shape)
+
+        def fixes_at(k, px, py, sa, sb) -> bool:
+            for z in itertools.product(*map(range, shape)):
+                moved = list(z)
+                x_k, y_k, a_k, b_k = z[k], z[2 + k], z[4 + k], z[6 + k]
+                moved[k], moved[2 + k] = px[x_k], py[y_k]
+                moved[4 + k], moved[6 + k] = sa[x_k, a_k], sb[y_k, b_k]
+                if multi[tuple(moved)] != multi[z]:
+                    return False
+            return True
+
+        perms2 = [np.array(p) for p in itertools.permutations(range(2))]
+        candidates = [(px, np.arange(1), np.array(sa), np.array(sb))
+                      for px in perms2 for sa in itertools.product(perms2, repeat=2)
+                      for sb in itertools.product(perms2, repeat=1)]
+        at = [[fixes_at(k, *element) for element in candidates] for k in (0, 1)]
+        assert all(at[0]) and 0 < sum(at[1]) < len(candidates)  # 16 at coordinate 0, 4 at 1
+        expected = [element for element, fixed in zip(candidates, at[1]) if fixed]
+        group = cylinder.relabelings
+        assert len(group) == len(expected)
+        for mine, theirs in zip(group, expected):
+            assert all(np.array_equal(p, q) for p, q in zip(mine, theirs))
+        for n in (1, 2):
+            stage = iterate(cylinder, n)
+            for px, py, sa, sb in lifted_relabelings(stage):
+                img = stage.win[px[:, None, None, None], py[None, :, None, None],
+                                sa[:, None, :, None], sb[None, :, None, :]]
+                assert np.array_equal(img, stage.win)
+                assert np.array_equal(stage.dist[px[:, None], py[None, :]], stage.dist)
+
+    def test_wide_cylinder_over_budget_gets_none_fast(self):
+        # 4 candidates x window 12 x 1.7e7 predicate entries, over ENTRY_BUDGET
+        cylinder = CylinderGame(12, (1, 1, 2, 2), np.ones((1, 1, 2 ** 12, 2 ** 12), dtype=bool),
+                                [[1.0]])
+        start = time.perf_counter()
+        assert relabelings(cylinder) == ()
+        assert time.perf_counter() - start < 0.05
 
 
 class TestMemoryGame:

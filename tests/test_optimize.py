@@ -255,7 +255,7 @@ class TestNsValue:
         assert value == 1.0 and payoff(stage, corr) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("case", ["memory(R0)^3", "memory(R0)^4", "all_win(1,2,1,1)^23"])
-    def test_over_budget_refused_fast(self, case):
+    def test_over_budget_refused_fast(self, case, r0):
         import scipy.optimize  # noqa: F401 - time the refusal, not the import
 
         if case.startswith("all_win"):  # 4.2e7 LP columns and rows, over ENTRY_BUDGET,
@@ -263,8 +263,6 @@ class TestNsValue:
             stage = iterate(embed(all_win(1, 2, 1, 1)), 23)
             assert stage.symmetry
         else:  # R0 has only the identity: its orbit LP is the full LP (8,448 x 66,048 at n = 3)
-            r0 = FiniteGame(np.random.default_rng(5).random((2, 2, 2, 2)) < 0.5,
-                            np.full((2, 2), 0.25))
             stage = iterate(memory_game(r0), int(case[-1]))
             assert stage.symmetry == ()
         tracemalloc.start()
@@ -383,8 +381,7 @@ class TestNsValue:
         nX, nY, nA, nB = shape
         identity = (np.arange(nX), np.arange(nY), np.tile(np.arange(nA), (nX, 1)),
                     np.tile(np.arange(nB), (nY, 1)))
-        carrying = FiniteGame(game.win, game.dist)
-        object.__setattr__(carrying, "symmetry", ((identity,), 1))
+        carrying = FiniteGame(game.win, game.dist, symmetry=((identity,), 1))
         expected, expected_corr = ns_value(carrying)
 
         def refuse(images):
@@ -399,14 +396,14 @@ class TestNsValue:
     def test_corrupted_group_raises(self):
         from nsgames import NumericError
 
-        stage = iterate(embed(chsh()), 1)
+        game = chsh()
         identity = (np.arange(2), np.arange(2), np.array([[0, 1], [0, 1]]),
                     np.array([[0, 1], [0, 1]]))
         flip_at_0 = (np.arange(2), np.arange(2), np.array([[1, 0], [0, 1]]),
                      np.array([[0, 1], [0, 1]]))  # not a symmetry of CHSH
-        object.__setattr__(stage, "symmetry", ((identity, flip_at_0), 1))
+        corrupted = FiniteGame(game.win, game.dist, symmetry=((identity, flip_at_0), 1))
         with pytest.raises(NumericError, match="no-signalling"):
-            ns_value(stage)
+            ns_value(corrupted)
 
 
 def orbit_iterates():
@@ -558,13 +555,13 @@ def test_scan_split_follows_the_chain(base, make, n, split, maps):
 def test_trivial_group_splits_at_half():
     from nsgames.optimize import _scan_rows
 
-    game = random_game((5, 2, 3, 2), rand.generator(7))
+    plain = random_game((5, 2, 3, 2), rand.generator(7))
     identity = (np.arange(5), np.arange(2), np.tile(np.arange(3), (5, 1)),
                 np.tile(np.arange(2), (2, 1)))
-    object.__setattr__(game, "symmetry", ((identity,), 1))
+    game = FiniteGame(plain.win, plain.dist, symmetry=((identity,), 1))
     rows, keeps = _scan_rows(game)
     assert len(keeps) == 2 and np.array_equal(rows, np.arange(9))
-    assert local_value(game) == local_value(FiniteGame(game.win, game.dist))
+    assert local_value(game) == local_value(plain)
 
 
 @pytest.mark.parametrize("make, n", [(memory_game, 2), (embed, 3)])
