@@ -9,12 +9,13 @@ always encoded row-major (first coordinate most significant), matching the
 correlation module, and ``strategies.map_digits`` decodes them.
 
 A relabeling permutes the questions of each party and each party's answers per
-question.  A cylinder game, however built or loaded, finds the base
+question.  A cylinder game, however built or loaded, finds the group of base
 relabelings fixing its question distribution and, at each window coordinate,
-its predicate; ``iterate`` passes them with its width to the ``FiniteGame`` it
-builds.  Acting on each coordinate independently they fix the iterate, so its
-orbits are products of base orbits, which the engines in ``optimize`` reduce
-by.  Finite games built directly, loaded, or as products carry none.
+its predicate, as stacked arrays; ``iterate`` passes them with its width to the
+``FiniteGame`` it builds.  Acting on each coordinate independently they fix the
+iterate, so its orbits are products of base orbits, whose least members the
+engines in ``optimize`` take as least images.  Finite games built directly,
+loaded, or as products carry none.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ def _candidates(shape: tuple) -> tuple:
 
 
 def relabelings(game: FiniteGame | CylinderGame) -> tuple:
-    """The base relabelings (px, py, sa, sb) fixing the game (``embed(game)`` for a finite
-    game), identity first; each maps (x, y, a, b) to (px[x], py[y], sa[x, a], sb[y, b]).
-    All candidates are tried at once, coordinate by coordinate, until only the identity is
-    left; above ``RELABELING_CAP`` of them, or ``ENTRY_BUDGET`` candidates x window x
-    predicate entries, it returns ().  Party swaps are not considered."""
+    """The group of base relabelings fixing the game (``embed(game)`` for a finite game), as
+    read-only stacked arrays (px, py, sa, sb), identity first: element e maps (x, y, a, b) to
+    (px[e, x], py[e, y], sa[e, x, a], sb[e, y, b]); no party swaps.  All candidates are tried
+    at once, coordinate by coordinate, until only the identity is left; above ``RELABELING_CAP``
+    of them, or ``ENTRY_BUDGET`` candidates x window x predicate entries, it returns ()."""
     game = game if isinstance(game, CylinderGame) else embed(game)
     shape, window = game.base_shape, game.window
     count = math.prod(math.factorial(n) ** m for n, m in zip(shape, (1, 1, *shape[:2])))
@@ -98,8 +99,11 @@ def relabelings(game: FiniteGame | CylinderGame) -> tuple:
         keys = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
         labels = (keys[:, None] == keys).argmax(axis=0).astype(np.int16)
         alive = alive[(labels[points[alive]] == labels).all(axis=1)]
-    chosen = np.unravel_index(alive, (len(px), len(py), len(sa), len(sb)))
-    return tuple((px[i], py[j], sa[k], sb[m]) for i, j, k, m in zip(*chosen))
+    i, j, k, m = np.unravel_index(alive, (len(px), len(py), len(sa), len(sb)))
+    group = px[i], py[j], sa[k], sb[m]
+    for part in group:
+        part.setflags(write=False)
+    return group
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -109,8 +113,9 @@ class FiniteGame(Alphabets):
     win: np.ndarray
     dist: np.ndarray
     name: str = field(default="", compare=False)
-    # (group, width) from ``iterate``: base relabelings, identity first, each fixing
-    # win and dist on any one of the width coordinates; () for no other.
+    # (group, width) from ``iterate``: the complete group of base relabelings fixing win and
+    # dist at each coordinate, stacked as ``relabelings`` returns it; () for the identity
+    # alone.  ``ns`` checks closure and certifies by its dual; ``loc`` trusts the group.
     symmetry: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -284,7 +289,8 @@ def iterate(cylinder: CylinderGame, n: int) -> FiniteGame:
     win.setflags(write=False)
     name = f"{cylinder.name}^({n})" if cylinder.name else ""
     group = cylinder.relabelings
-    return FiniteGame(win, dist, name=name, symmetry=(group, width) if len(group) > 1 else ())
+    return FiniteGame(win, dist, name=name,
+                      symmetry=(group, width) if group and len(group[0]) > 1 else ())
 
 
 @dataclass(frozen=True)

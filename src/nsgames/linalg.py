@@ -41,12 +41,6 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Entrywise norm of M - M*, over a square matrix or a (..., n, n) stack."""
-    matrix = np.asarray(matrix)
-    return max_abs(matrix - matrix.conj().swapaxes(-1, -2))
-
-
 def require_hermitian(matrix: np.ndarray, tol: float = ROUNDING_TOL) -> np.ndarray:
     """Validate near-Hermiticity and return the symmetrized matrix.
 

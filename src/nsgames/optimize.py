@@ -5,10 +5,11 @@ Three engines live here:
 * ``ns_value`` -- exact supremum over the no-signalling polytope: HiGHS
   solves, through ``simplex.simplex_solve``, the LP over the correlation
   entries and marginals reduced by the game's symmetry (see ``games``), whose
-  orbits on an iterate are products of its base game's orbits.  Only the
-  orbit LP's rows are built.  The answer is lifted back and certified on the
-  full LP by the primal correlation and by a dual bound, broadcast over the
-  LP's structure with no matrix.  Budgets in ``errors`` bound the LP's size.
+  orbits on an iterate are products of base orbits, each labelled by the least
+  image under the group (checked closed).  Only the orbit LP's rows are built.
+  The answer is lifted back and certified on the full LP by the primal
+  correlation and by a dual bound, broadcast over the LP's structure with no
+  matrix.  Budgets in ``errors`` bound the LP's size.
 * ``local_value`` -- exact maximum over deterministic strategy pairs.  Alice's
   maps, within ``errors.WORK_BUDGET``, are enumerated by the kernel in
   ``strategies``: a meet-in-the-middle split of her input set, scored in exact
@@ -19,10 +20,10 @@ Three engines live here:
   ..., f(nX-1)) with f(0) most significant, and ties break to the lowest
   strategy index (exactly on the integer path).  On an iterate only maps
   canonical along a stabiliser chain are scanned: each of f(0), ...,
-  f(split - 1) is, on every coordinate, the minimum of its orbit under the
-  base relabelings fixing the earlier questions and answers (the split, from
-  nX//2, moves on while the chain cuts and stays balanced), which keeps the
-  lowest-index optimum.
+  f(split - 1) is, on every coordinate, its least image under the elements
+  of the stacked group fixing the earlier questions and answers (the split,
+  from nX//2, moves on while the chain cuts and stays balanced), which keeps
+  the lowest-index optimum.
 * ``qs_seesaw`` -- alternating ascent over Alice's measurements, Bob's
   measurements, and the shared state from the ``local_value`` optimum and
   random restarts, returning a certified quantum-spatial lower bound (the
@@ -44,7 +45,8 @@ from . import rand, strategies
 from .channels import FiniteChannel, Povm
 from .correlations import Correlation, is_no_signalling, qs_probabilities
 from .errors import (ENTRY_BUDGET, FACTOR_TOL, INVARIANT_TOL, ROUNDING_TOL, TIE_TOL, WORK_BUDGET,
-                     NumericError, TooLargeError, ValidationError, require_budget)
+                     NumericError, PreconditionError, TooLargeError, ValidationError,
+                     require_budget)
 from .linalg import hermitize
 from .simplex import LinearProgram, simplex_solve
 
@@ -94,23 +96,12 @@ def ns_value_lp(game: "FiniteGame", orbits: list | None = None) -> LinearProgram
     return LinearProgram(objective, a_eq=a_eq, b_eq=(row_reps < n_pairs).astype(float))
 
 
-def _orbit_labels(images: np.ndarray) -> np.ndarray:
-    """The smallest member of each point's orbit, for the group generated by
-    the permutations ``images`` (k, n) of range(n); found by label propagation."""
-    labels = np.arange(images.shape[1])
-    while True:
-        new = np.minimum(labels, labels[images].min(axis=0, initial=labels.size))
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 def _lp_labels(game: "FiniteGame") -> list[np.ndarray]:
-    """Orbit labels (int32 least members) of the full LP's columns and rows, for
-    a game with a symmetry (group, width).  Each family of LP points holds the
-    width-tuples of its base points, on which the group acts coordinatewise."""
-    group, width = game.symmetry
-    px, py, sa, sb = (np.array(part) for part in zip(*group))
+    """Orbit labels (int32 least members) of the full LP's columns and rows, for a game
+    with a symmetry (group, width).  Each family of LP points holds the width-tuples of
+    its base points, on which the group acts coordinatewise; a base point's least image,
+    checked constant along the group, is its orbit's minimum."""
+    (px, py, sa, sb), width = game.symmetry
     sizes = dict(x=px.shape[1], y=py.shape[1], a=sa.shape[2], b=sb.shape[2])
     labels = []
     for families in ("xyab", "xa", "yb"), ("xy", "xay", "ybx"):  # columns, then rows
@@ -121,7 +112,10 @@ def _lp_labels(game: "FiniteGame") -> list[np.ndarray]:
             point = dict(zip(family, np.indices(shape).reshape(len(family), -1)))
             x, y, a, b = (point.get(axis, 0) for axis in "xyab")
             moved = dict(x=px[:, x], y=py[:, y], a=sa[:, x, a], b=sb[:, y, b])
-            minima = _orbit_labels(np.ravel_multi_index([moved[axis] for axis in family], shape))
+            images = np.ravel_multi_index([moved[axis] for axis in family], shape)
+            minima = images.min(axis=0)
+            if not (minima[images] == minima).all():
+                raise PreconditionError("the game's relabelings are not a closed group")
             _product_minima(minima, shape, width, out[start:end])
             out[start:end] += start
         labels.append(out)
@@ -238,13 +232,12 @@ def _chain_rows(game: "FiniteGame"):
     if not game.symmetry:
         yield from ((slice(None), np.arange(game.nA ** k)) for k in range(1, game.nX + 1))
         return
-    group, width = game.symmetry
-    px, _, sa, _ = (np.array(part) for part in zip(*group))
+    (px, _, sa, _), width = game.symmetry
     n_a = sa.shape[2]
     digits = strategies.map_digits(np.arange(game.nA), width, n_a)  # (nA, width)
-    rows, mask = np.zeros(1, dtype=np.int64), np.ones((1, width, len(group)), dtype=bool)
+    rows, mask = np.zeros(1, dtype=np.int64), np.ones((1, width, len(px)), dtype=bool)
     for k in range(game.nX):
-        if rows.size * width * len(group) * n_a > ENTRY_BUDGET:
+        if rows.size * width * len(px) * n_a > ENTRY_BUDGET:
             keep = slice(None)
         else:
             if k:  # the answers kept at question k - 1 stay fixed
@@ -305,10 +298,10 @@ def top_deterministic_strategies(
 class SeesawState:
     """A quantum-spatial strategy found by the see-saw, with its value.
 
-    ``history`` is the winning restart's objective after each sweep (starting
-    from the initial strategy); ``all_histories`` collects one such trace per
-    restart, in the order of ``_seed_strategies``.  The value is a certified
-    lower bound on the quantum-spatial game value at this dimension.
+    ``all_histories`` holds each restart's objective after each sweep
+    (starting from the initial strategy), in the order of ``_seed_strategies``.
+    The value is a certified lower bound on the quantum-spatial game value at
+    this dimension.
     """
 
     dimension: int
@@ -316,10 +309,9 @@ class SeesawState:
     bob: FiniteChannel
     psi: np.ndarray
     value: float
-    history: tuple[float, ...] = ()
     all_histories: tuple[tuple[float, ...], ...] = field(default=(), compare=False)
 
-    def __init__(self, dimension, alice, bob, psi, value, history=(), all_histories=()):
+    def __init__(self, dimension, alice, bob, psi, value, all_histories=()):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(psi))
         if abs(norm - 1.0) > FACTOR_TOL:
@@ -332,7 +324,6 @@ class SeesawState:
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "value", float(min(max(value, 0.0), 1.0)))
-        object.__setattr__(self, "history", tuple(history))
         object.__setattr__(self, "all_histories", tuple(all_histories))
 
     def __repr__(self) -> str:
@@ -499,6 +490,5 @@ def qs_seesaw(game: "FiniteGame", dim: int = 2, seeds: int = 20,
         bob=FiniteChannel([Povm(effects) for effects in bob[best]]),
         psi=psi[best],
         value=histories[best][-1],
-        history=histories[best],
         all_histories=tuple(tuple(h) for h in histories),
     )

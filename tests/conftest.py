@@ -70,15 +70,15 @@ def r0():
                       np.full((2, 2), 0.25), name="R0")
 
 
-def lifted_relabelings(game) -> list:
+def lifted_relabelings(game) -> tuple:
     """Reference for a game's ``symmetry`` (group, width): each base relabeling
-    applied to one coordinate of the width-``width`` tuple alphabets, as
+    applied to one coordinate of the width-``width`` tuple alphabets, as stacked
     (px, py, sa, sb) index arrays of the game; all relabelings at coordinate 0
     first, then those at coordinate 1, ...  The identity is left out."""
     from nsgames.strategies import map_digits
 
     group, width = game.symmetry
-    px, py, sa, sb = (np.array(part) for part in zip(*group[1:]))
+    px, py, sa, sb = (part[1:] for part in group)
     base_shape = px.shape[1], py.shape[1], sa.shape[2], sb.shape[2]
     # every coordinate of every tuple over each base alphabet, (tuples, width)
     digits = dx, dy, da, db = [map_digits(np.arange(n ** width), width, n) for n in base_shape]
@@ -87,4 +87,4 @@ def lifted_relabelings(game) -> list:
     lifted = [np.moveaxis(np.arange(n ** width)[:, None] + (image - d) * p, -1, 0)
               .reshape(width * len(image), *image.shape[1:-1])
               for n, p, d, image in zip(base_shape, places, digits, images)]
-    return list(zip(*lifted))
+    return tuple(lifted)

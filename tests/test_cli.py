@@ -47,6 +47,12 @@ class TestValueCommand:
         assert "certificate: optimal no-signalling correlation\n" in out
         assert "vertex" not in out
 
+    def test_loc_table_certificate(self, chsh_file, capsys):
+        assert main(["value", chsh_file, "--type", "loc"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["type: loc (exact)", "value: 0.750000",
+                             "certificate: deterministic strategies f=(0, 0) g=(0, 0)"]
+
     def test_qs_machine(self, chsh_file, capsys):
         code = main(["value", chsh_file, "--type", "qs", "--format", "machine",
                      "--seeds", "10", "--sweeps", "100"])
@@ -159,6 +165,32 @@ class TestSequenceCommand:
               "--n-max", "2", "--format", "machine"])
         lines = capsys.readouterr().out.splitlines()
         assert all(len(line.split()) == 5 for line in lines)
+
+    def test_memory_table_running_max_column(self, chsh_file, capsys):
+        assert main(["sequence", chsh_file, "--mode", "memory", "--type", "loc",
+                     "--n-max", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "sequence mode=memory type=loc"
+        assert lines[1].split() == ["n", "value", "value^(1/n)", "running", "max"]
+        assert [line.split() for line in lines[2:]] == [
+            ["1", "1.000000", "1.000000", "1.000000"], ["2", "0.968750", "0.984251", "1.000000"]]
+
+    def test_qs_table_notes_lower_bounds(self, chsh_file, capsys):
+        assert main(["sequence", chsh_file, "--mode", "iid", "--type", "qs", "--n-max", "1",
+                     "--seeds", "2", "--sweeps", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "sequence mode=iid type=qs lower bound"
+        assert lines[1].startswith("note: entries are see-saw lower bounds;")
+        assert lines[2].split() == ["n", "value", "value^(1/n)"]
+        assert lines[3].split() == ["1", "0.853553", "0.853553"]
+
+    def test_table_flags_truncation(self, chsh_file, capsys):
+        # memory(chsh)^3 is over the loc budget
+        assert main(["sequence", chsh_file, "--mode", "memory", "--type", "loc",
+                     "--n-max", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:4]] == ["1", "2"]
+        assert lines[4:] == ["(truncated: size budget reached)"]
 
     def test_n_max_zero_empty(self, chsh_file, capsys):
         assert main(["sequence", chsh_file, "--mode", "iid", "--type", "loc",
@@ -397,6 +429,37 @@ class TestCheckCommand:
         assert main(["check", str(path), "--test", "ns",
                      "--format", "machine"]) == 0
         assert capsys.readouterr().out == "check ns pass 0.0\n"
+
+    def test_signalling_table_witnesses(self, tmp_path, capsys):
+        # a = y and b = x: each party's answer reveals the other's question
+        x, y, a, b = np.indices((2, 2, 2, 2))
+        path = tmp_path / "signal.corr"
+        path.write_text(dump_correlation(Correlation(((a == y) & (b == x)).astype(float))))
+        assert main(["check", str(path), "--test", "ns"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "no-signalling: fail",
+            "  worst Alice defect: 1.000e+00 at (x,a,y,y')=(0, 0, 0, 1)",
+            "  worst Bob defect:   1.000e+00 at (y,b,x,x')=(0, 0, 0, 1)"]
+
+    def test_local_table_decomposition(self, tmp_path, capsys):
+        from nsgames import deterministic_correlation
+
+        corr = Correlation(0.25 * deterministic_correlation((0, 1), (1, 1), 2, 2).p
+                           + 0.75 * deterministic_correlation((1, 1), (0, 0), 2, 2).p)
+        path = tmp_path / "local.corr"
+        path.write_text(dump_correlation(corr))
+        assert main(["check", str(path), "--test", "local"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "local: pass (max deviation 0.000e+00)",
+            "  decomposition over 2 deterministic vertices:",
+            "    f=(0, 1) g=(1, 1) weight=0.250000",
+            "    f=(1, 1) g=(0, 0) weight=0.750000"]
+
+    def test_pr_local_table_fail(self, tmp_path, capsys):
+        path = tmp_path / "pr.corr"
+        path.write_text(dump_correlation(pr_box()))
+        assert main(["check", str(path), "--test", "local"]) == 0
+        assert capsys.readouterr().out == "local: fail (infeasibility gap 0.125000)\n"
 
     def test_pr_local_fail(self, tmp_path, capsys):
         path = tmp_path / "pr.corr"

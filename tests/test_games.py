@@ -189,6 +189,14 @@ def symmetric_bases():
     return [chsh(), chained3, ternary] + seeded
 
 
+def point_images(group, shape) -> np.ndarray:
+    """Each stacked relabeling's action on the flat base points of ``shape``,
+    (k, nX nY nA nB)."""
+    px, py, sa, sb = group
+    x, y, a, b = np.indices(shape).reshape(4, -1)
+    return np.ravel_multi_index((px[:, x], py[:, y], sa[:, x, a], sb[:, y, b]), shape)
+
+
 def fixes(game, px, py, sa, sb) -> bool:
     """Whether (x, y, a, b) -> (px[x], py[y], sa[x, a], sb[y, b]) fixes the game."""
     for x, y, a, b in itertools.product(*map(range, game.shape)):
@@ -200,12 +208,14 @@ def fixes(game, px, py, sa, sb) -> bool:
 
 class TestRelabelings:
     def test_chsh_group(self):
-        group = relabelings(chsh())
-        assert len(group) == 8
-        assert all(np.array_equal(part, np.broadcast_to(np.arange(2), part.shape))
-                   for part in group[0])  # the identity first
-        assert all(fixes(chsh(), *element) for element in group)
-        keys = {tuple(np.concatenate([np.ravel(part) for part in element])) for element in group}
+        px, py, sa, sb = group = relabelings(chsh())
+        assert px.shape == py.shape == (8, 2) and sa.shape == sb.shape == (8, 2, 2)
+        assert not any(part.flags.writeable for part in group)
+        assert all(np.array_equal(part[0], np.broadcast_to(np.arange(2), part.shape[1:]))
+                   for part in group)  # the identity first
+        assert all(fixes(chsh(), *element) for element in zip(*group))
+        keys = {tuple(np.concatenate([np.ravel(part) for part in element]))
+                for element in zip(*group)}
         assert len(keys) == 8
 
     def test_search_is_complete_on_small_games(self):
@@ -216,20 +226,20 @@ class TestRelabelings:
                     for px in perms2 for py in perms2
                     for sa in itertools.product(perms2, repeat=2)
                     for sb in itertools.product(perms2, repeat=2))
-        assert len(relabelings(game)) == count
+        assert len(relabelings(game)[0]) == count
 
     @pytest.mark.parametrize("base", range(5))
     @pytest.mark.parametrize("make", [embed, memory_game])
     def test_lifted_relabelings_fix_iterates(self, base, make):
         game = symmetric_bases()[base]
         cylinder = make(game)
-        assert len(cylinder.relabelings) == len(relabelings(game)) > 1
+        assert len(cylinder.relabelings[0]) == len(relabelings(game)[0]) > 1
         for n in (1, 2):
             stage = iterate(cylinder, n)
             group, width = stage.symmetry
             assert group is cylinder.relabelings and width == cylinder.window + n - 1
             nX, nY, nA, nB = stage.shape
-            for px, py, sa, sb in lifted_relabelings(stage):
+            for px, py, sa, sb in zip(*lifted_relabelings(stage)):
                 assert px.shape == (nX,) and py.shape == (nY,)
                 assert sa.shape == (nX, nA) and sb.shape == (nY, nB)
                 img = stage.win[px[:, None, None, None], py[None, :, None, None],
@@ -237,10 +247,29 @@ class TestRelabelings:
                 assert np.array_equal(img, stage.win)
                 assert np.array_equal(stage.dist[px[:, None], py[None, :]], stage.dist)
 
+    @pytest.mark.parametrize("base", range(7))
+    @pytest.mark.parametrize("make", [embed, memory_game])
+    def test_record_is_a_closed_group(self, base, make, r0):
+        # every element acting on the base points: identity first, and every
+        # composition and inverse among the record's elements
+        game = (symmetric_bases() + [all_win(2, 2, 2, 2), r0])[base]
+        group = make(game).relabelings
+        nX, nY, nA, nB = shape = game.shape
+        k = len(group[0])
+        assert [part.shape for part in group] == [(k, nX), (k, nY), (k, nX, nA), (k, nY, nB)]
+        assert not any(part.flags.writeable for part in group)
+        images = point_images(group, shape)
+        assert np.array_equal(images[0], np.arange(images.shape[1]))
+        elements = {tuple(image) for image in images.tolist()}
+        assert len(elements) == k
+        compositions = np.take(images, images, axis=1).reshape(k * k, -1)  # g o h at [g, h]
+        assert {tuple(image) for image in compositions.tolist()} == elements
+        assert {tuple(image) for image in np.argsort(images, axis=1).tolist()} == elements
+
     def test_trivial_group_lifts_to_none(self):
         # a base whose only relabeling is the identity
         game = FiniteGame(np.eye(4, dtype=bool).reshape(2, 2, 2, 2), [[0.1, 0.2], [0.3, 0.4]])
-        assert len(relabelings(game)) == 1
+        assert len(relabelings(game)[0]) == 1
         assert iterate(memory_game(game), 2).symmetry == ()
 
     def test_above_cap_gets_none(self):
@@ -256,12 +285,11 @@ class TestRelabelings:
         for make in (embed, memory_game):
             built = make(game)
             loaded = load_game(dump_game(built))
-            assert len(loaded.relabelings) == len(built.relabelings) == 8
-            for mine, theirs in zip(loaded.relabelings, built.relabelings):
-                assert all(np.array_equal(p, q) for p, q in zip(mine, theirs))
+            assert len(loaded.relabelings[0]) == len(built.relabelings[0]) == 8
+            assert all(np.array_equal(p, q) for p, q in zip(loaded.relabelings, built.relabelings))
             assert iterate(loaded, 2).symmetry[0] is loaded.relabelings
         loaded = load_game(dump_game(memory_game(r0)))
-        assert len(loaded.relabelings) == 1 and iterate(loaded, 1).symmetry == ()
+        assert len(loaded.relabelings[0]) == 1 and iterate(loaded, 1).symmetry == ()
 
     def test_window_coordinates_each_fix_the_predicate(self):
         # base (2,1,2,2), window 2: everything wins at coordinate 0, and a == b
@@ -292,12 +320,11 @@ class TestRelabelings:
         assert all(at[0]) and 0 < sum(at[1]) < len(candidates)  # 16 at coordinate 0, 4 at 1
         expected = [element for element, fixed in zip(candidates, at[1]) if fixed]
         group = cylinder.relabelings
-        assert len(group) == len(expected)
-        for mine, theirs in zip(group, expected):
-            assert all(np.array_equal(p, q) for p, q in zip(mine, theirs))
+        assert len(group[0]) == len(expected)
+        assert all(np.array_equal(p, np.array(q)) for p, q in zip(group, zip(*expected)))
         for n in (1, 2):
             stage = iterate(cylinder, n)
-            for px, py, sa, sb in lifted_relabelings(stage):
+            for px, py, sa, sb in zip(*lifted_relabelings(stage)):
                 img = stage.win[px[:, None, None, None], py[None, :, None, None],
                                 sa[:, None, :, None], sb[None, :, None, :]]
                 assert np.array_equal(img, stage.win)

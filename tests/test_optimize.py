@@ -23,7 +23,7 @@ from nsgames import (
     seesaw_state_update,
     top_deterministic_strategies,
 )
-from nsgames import FiniteGame, all_win, embed, iterate, memory_game, rand
+from nsgames import FiniteGame, all_win, embed, iterate, memory_game, rand, relabelings
 from nsgames.linalg import kron, max_abs
 
 from conftest import PAULI_X, PAULI_Z, lifted_relabelings, pauli_pvm, pr_box
@@ -81,18 +81,25 @@ def lp_index(shape, x, y, a, b):
     return cols, rows
 
 
+def propagated_labels(images):
+    """The smallest member of each point's orbit, for the group generated by
+    the permutations ``images`` (k, n) of range(n); found by label propagation."""
+    labels = np.arange(images.shape[1])
+    while True:
+        new = np.minimum(labels, labels[images].min(axis=0))
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def stacked_lp_orbits(game):
     """Reference orbit labels of the full LP's columns and rows: every lifted
     relabeling applied to every LP point, and the labels propagated over the
     stacked images until they settle; every point its own label for a game
     without relabelings."""
-    from nsgames.optimize import _orbit_labels
-
     if not game.symmetry:
         return [np.arange(n) for n in entrywise_lp_matrix(game).shape[::-1]]
-    nX, nY, nA, nB = game.shape
-    px, py, sa, sb = (np.array(part, dtype=int).reshape((-1, *shape)) for part, shape
-                      in zip(zip(*lifted_relabelings(game)), ((nX,), (nY,), (nX, nA), (nY, nB))))
+    px, py, sa, sb = (part.astype(int) for part in lifted_relabelings(game))
     x, y, a, b = np.indices(game.shape).reshape(4, -1)
     before = lp_index(game.shape, x, y, a, b)
     after = lp_index(game.shape, px[:, x], py[:, y], sa[:, x, a], sb[:, y, b])
@@ -101,7 +108,7 @@ def stacked_lp_orbits(game):
         images = np.empty((len(px), points[-1].max() + 1), dtype=int)
         for point, image in zip(points, moved):
             images[:, point] = image
-        labels.append(_orbit_labels(images))
+        labels.append(propagated_labels(images))
     return labels
 
 
@@ -379,15 +386,15 @@ class TestNsValue:
 
         game = load_game(dump_game(random_game(shape, rand.generator(seed))))
         nX, nY, nA, nB = shape
-        identity = (np.arange(nX), np.arange(nY), np.tile(np.arange(nA), (nX, 1)),
-                    np.tile(np.arange(nB), (nY, 1)))
-        carrying = FiniteGame(game.win, game.dist, symmetry=((identity,), 1))
+        identity = (np.arange(nX)[None], np.arange(nY)[None], np.tile(np.arange(nA), (1, nX, 1)),
+                    np.tile(np.arange(nB), (1, nY, 1)))
+        carrying = FiniteGame(game.win, game.dist, symmetry=(identity, 1))
         expected, expected_corr = ns_value(carrying)
 
-        def refuse(images):
+        def refuse(stage):
             raise AssertionError("orbit search for a game without relabelings")
 
-        monkeypatch.setattr(optimize, "_orbit_labels", refuse)
+        monkeypatch.setattr(optimize, "_lp_labels", refuse)
         assert not game.symmetry
         value, corr = ns_value(game)
         assert value == expected
@@ -397,13 +404,31 @@ class TestNsValue:
         from nsgames import NumericError
 
         game = chsh()
-        identity = (np.arange(2), np.arange(2), np.array([[0, 1], [0, 1]]),
-                    np.array([[0, 1], [0, 1]]))
-        flip_at_0 = (np.arange(2), np.arange(2), np.array([[1, 0], [0, 1]]),
-                     np.array([[0, 1], [0, 1]]))  # not a symmetry of CHSH
-        corrupted = FiniteGame(game.win, game.dist, symmetry=((identity, flip_at_0), 1))
+        # the identity and flipping a at x = 0: a closed group, but not of CHSH
+        group = (np.array([[0, 1], [0, 1]]), np.array([[0, 1], [0, 1]]),
+                 np.array([[[0, 1], [0, 1]], [[1, 0], [0, 1]]]),
+                 np.array([[[0, 1], [0, 1]], [[0, 1], [0, 1]]]))
+        corrupted = FiniteGame(game.win, game.dist, symmetry=(group, 1))
         with pytest.raises(NumericError, match="no-signalling"):
             ns_value(corrupted)
+
+    def test_group_not_closed_raises(self):
+        # the identity and a relabeling of order 4 without its square: least
+        # images over them are not constant along its 4-cycles
+        from test_games import point_images
+
+        from nsgames import PreconditionError
+
+        game = chsh()
+        group = relabelings(game)
+        images = point_images(group, game.shape)
+        squares = np.take_along_axis(images, images, axis=1)
+        order4 = [e for e in range(len(images))
+                  if not np.array_equal(squares[e], images[0])
+                  and np.array_equal(np.take(squares[e], squares[e]), images[0])]
+        record = tuple(part[[0, order4[0]]] for part in group)
+        with pytest.raises(PreconditionError, match="not a closed group"):
+            ns_value(FiniteGame(game.win, game.dist, symmetry=(record, 1)))
 
 
 def orbit_iterates():
@@ -483,9 +508,9 @@ def brute_force_canonical_rows(game):
     rows)."""
     from nsgames.strategies import map_digits
 
-    group, width = game.symmetry
-    n_x, n_a = len(group[0][0]), group[0][2].shape[1]
-    alice = np.unique([np.concatenate([px, sa.ravel()]) for px, _, sa, _ in group], axis=0)
+    (px, _, sa, _), width = game.symmetry
+    n_x, n_a = px.shape[1], sa.shape[2]
+    alice = np.unique(np.concatenate([px, sa.reshape(len(sa), -1)], axis=1), axis=0)
     px, sa = alice[:, :n_x].astype(np.int16), alice[:, n_x:].reshape(-1, n_x, n_a).astype(np.int16)
     dx = map_digits(np.arange(game.nX), width, n_x)
     da = map_digits(np.arange(game.nA), width, n_a)
@@ -556,9 +581,9 @@ def test_trivial_group_splits_at_half():
     from nsgames.optimize import _scan_rows
 
     plain = random_game((5, 2, 3, 2), rand.generator(7))
-    identity = (np.arange(5), np.arange(2), np.tile(np.arange(3), (5, 1)),
-                np.tile(np.arange(2), (2, 1)))
-    game = FiniteGame(plain.win, plain.dist, symmetry=((identity,), 1))
+    identity = (np.arange(5)[None], np.arange(2)[None], np.tile(np.arange(3), (1, 5, 1)),
+                np.tile(np.arange(2), (1, 2, 1)))
+    game = FiniteGame(plain.win, plain.dist, symmetry=(identity, 1))
     rows, keeps = _scan_rows(game)
     assert len(keeps) == 2 and np.array_equal(rows, np.arange(9))
     assert local_value(game) == local_value(plain)

@@ -250,7 +250,7 @@ class TestCut:
     def test_random_base_without_relabelings(self, scanned, n, expected):
         # memory(R)^2 and iid(R)^3 scan 4096 rows of 4096 maps unpruned
         base = random_game((2, 2, 2, 2), np.random.default_rng(3), uniform_dist=True)
-        assert len(relabelings(base)) == 1
+        assert len(relabelings(base)[0]) == 1
         game = iterate(memory_game(base), 2) if n == 2 else iterate(embed(base), 3)
         assert self.check(game) == (4096, 4096)
         assert scanned == expected
